@@ -1,9 +1,11 @@
-"""Harness throughput benchmark: serial vs parallel vs cached.
+"""Harness throughput benchmark: serial vs parallel vs campaign vs cached.
 
 Runs a fixed fig17-style batch (baseline + three ZeroDEV policies over
-two workloads) three ways -- serially, through the multiprocessing pool,
-and again from the warm result cache -- asserting the stats are
-bit-identical, and appends the timings to ``results/BENCH_harness.json``.
+two workloads) four ways -- serially, on the slot workers, on the slot
+workers with a retry policy and a journal (the campaign leg: what a
+resumable sweep pays on top), and again from the warm result cache --
+asserting the stats are bit-identical, and appends the timings to
+``results/BENCH_harness.json``.
 That file is a *trajectory*: one entry per recorded run, so harness
 performance over the repo's history stays inspectable. Parallel is not
 asserted to be faster (CI may have a single CPU); the cached pass is
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
 from time import perf_counter
@@ -22,6 +25,7 @@ from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCReplacement,
                                  Protocol, SystemConfig)
 from repro.common.ioutil import atomic_write_text
+from repro.harness.campaign import CampaignJournal, CampaignPolicy
 from repro.harness.parallel import run_many
 from repro.harness.result_cache import ResultCache
 from repro.workloads import make_multithreaded
@@ -66,7 +70,7 @@ def _stats(results):
 
 
 def measure(accesses: int = 4000, jobs: int = 4, path=None) -> dict:
-    """Time the three execution paths over one batch; returns the entry
+    """Time the four execution paths over one batch; returns the entry
     appended to ``path`` (None: don't write)."""
     specs = _specs(accesses)
     total_accesses = sum(w.total_accesses for _, w in specs)
@@ -79,6 +83,14 @@ def measure(accesses: int = 4000, jobs: int = 4, path=None) -> dict:
     parallel = run_many(specs, jobs=jobs, cache=None)
     parallel_seconds = perf_counter() - started
 
+    with tempfile.TemporaryDirectory() as scratch, \
+            CampaignJournal(Path(scratch) / "bench.jsonl") as journal:
+        started = perf_counter()
+        campaign = run_many(specs, jobs=jobs, cache=None,
+                            policy=CampaignPolicy(retries=1),
+                            journal=journal)
+        campaign_seconds = perf_counter() - started
+
     cache = ResultCache()
     run_many(specs, jobs=1, cache=cache)
     started = perf_counter()
@@ -87,6 +99,8 @@ def measure(accesses: int = 4000, jobs: int = 4, path=None) -> dict:
 
     assert _stats(parallel) == _stats(serial), \
         "parallel run diverged from serial"
+    assert _stats(campaign) == _stats(serial), \
+        "campaign run diverged from serial"
     assert _stats(cached) == _stats(serial), \
         "cached run diverged from fresh"
     assert all(result.cached for result in cached)
@@ -100,6 +114,7 @@ def measure(accesses: int = 4000, jobs: int = 4, path=None) -> dict:
         "jobs": jobs,
         "serial_seconds": round(serial_seconds, 4),
         "parallel_seconds": round(parallel_seconds, 4),
+        "campaign_seconds": round(campaign_seconds, 4),
         "cached_seconds": round(cached_seconds, 4),
         "serial_accesses_per_second": int(total_accesses
                                           / serial_seconds),
@@ -126,4 +141,5 @@ def test_harness_throughput():
           f"serial {entry['serial_seconds']:.2f}s "
           f"({entry['serial_accesses_per_second']:,}/s), "
           f"parallel(j{entry['jobs']}) {entry['parallel_seconds']:.2f}s, "
+          f"campaign {entry['campaign_seconds']:.2f}s, "
           f"cached {entry['cached_seconds']:.3f}s")

@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import SystemConfig
 from repro.common.errors import SimulationError
+from repro.harness.campaign import values_of
 from repro.harness.parallel import parallel_map
 from repro.harness.system_builder import build_system
 from repro.workloads.trace import Op
@@ -207,22 +208,19 @@ class ExhaustiveExplorer:
         if jobs > 1:
             global _ACTIVE_EXPLORER
             _ACTIVE_EXPLORER = self
+            chunks = [sequences[start:start + _CHUNK]
+                      for start in range(0, len(sequences), _CHUNK)]
             try:
-                outcomes = parallel_map(_evaluate_in_worker, sequences,
-                                        jobs=jobs, chunksize=8,
-                                        require_fork=True)
+                outcomes = values_of(parallel_map(
+                    _evaluate_in_worker, chunks, jobs=jobs,
+                    require_fork=True))
             finally:
                 _ACTIVE_EXPLORER = None
-            for checked, counterexample in outcomes:
-                report.sequences_explored += 1
-                if counterexample is not None:
-                    report.counterexample = counterexample
-                    return report
-                report.states_checked += checked
-            return report
-        for sequence in sequences:
+            evaluated = itertools.chain.from_iterable(outcomes)
+        else:
+            evaluated = map(self._evaluate, sequences)
+        for checked, counterexample in evaluated:
             report.sequences_explored += 1
-            checked, counterexample = self._evaluate(sequence)
             if counterexample is not None:
                 report.counterexample = counterexample
                 return report
@@ -234,7 +232,11 @@ class ExhaustiveExplorer:
 #: the global, so unpicklable config factories travel for free).
 _ACTIVE_EXPLORER: Optional[ExhaustiveExplorer] = None
 
+#: Sampled sequences per executor item (one pipe round trip each).
+_CHUNK = 8
 
-def _evaluate_in_worker(sequence):
+
+def _evaluate_in_worker(chunk):
     assert _ACTIVE_EXPLORER is not None
-    return _ACTIVE_EXPLORER._evaluate(sequence)  # noqa: SLF001
+    return [_ACTIVE_EXPLORER._evaluate(sequence)  # noqa: SLF001
+            for sequence in chunk]

@@ -1,78 +1,63 @@
-"""Fault-tolerant campaign execution over independent runs.
+"""Policy, journal and outcome types for fault-tolerant batches.
 
-:mod:`repro.harness.parallel` gives the harness *fast* fan-out; this
-module gives it *durable* fan-out. A campaign is a batch of independent
-runs that must survive the failure modes long unattended executions
-actually hit:
+Every batch of independent runs executes through
+:func:`repro.harness.parallel.parallel_map`; this module holds what that
+executor is configured and judged by, so long unattended executions
+survive the failure modes they actually hit:
 
-* **Crash isolation** -- a run that raises (or whose worker process is
-  killed outright) becomes a typed :class:`RunFailure` carrying the run
-  key, error, traceback, and attempt count; every other run's result is
-  kept.
-* **Per-run timeouts** -- each worker self-arms ``SIGALRM`` (via
-  ``signal.setitimer``) around its run, so a wedged simulation turns
-  into a ``timeout`` failure instead of hanging the batch. The parent
-  additionally enforces a grace deadline with ``SIGKILL`` as a backstop
-  for workers stuck in uninterruptible code.
-* **Retry with exponential backoff** -- transient failures (a dead
-  worker, any ``OSError``) are re-executed up to
-  :attr:`CampaignPolicy.retries` times, with capped exponential delays.
+* **Typed outcomes** -- a run that raises (or whose worker process is
+  killed outright) becomes a :class:`RunFailure` carrying the run key,
+  error, traceback, and attempt count; every other run's result is kept
+  as a :class:`RunSuccess`.
+* **Per-run timeouts** -- :func:`execute_guarded` self-arms ``SIGALRM``
+  (via ``signal.setitimer``) around each run, so a wedged simulation
+  turns into a ``timeout`` failure instead of hanging the batch.
+* **Retry with exponential backoff** -- :class:`CampaignPolicy` decides
+  which failures are transient (a dead worker, any ``OSError``) and how
+  often and how late they are re-executed.
 * **Checkpoint/resume** -- a :class:`CampaignJournal` appends one JSONL
   record per committed run (key + pickled payload, flushed and fsynced)
   and keeps an atomic sibling checkpoint file via
-  :mod:`repro.common.ioutil`. Re-running the same campaign with the same
+  :mod:`repro.common.ioutil`. Re-running the same batch with the same
   journal skips every committed run and replays its recorded payload,
-  so the resumed campaign's aggregate statistics are bit-identical to an
+  so the resumed batch's aggregate statistics are bit-identical to an
   uninterrupted one.
-
-Workers are one process per attempt (started from the same fork/spawn
-context the pool layer uses). That costs one ``fork`` per run -- noise
-for the multi-second simulations campaigns are made of -- and buys exact
-failure attribution: a worker's death can only ever lose the single run
-it was bound to at spawn time.
 
 The journal doubles as an observability trace: retry, timeout,
 worker-death, and resume-skip records use the matching
 :class:`~repro.obs.events.EventKind` values, so ``repro report
-<journal>`` renders a campaign-health section.
+<journal>`` renders a campaign-health section. :func:`execute_guarded`
+is also the per-item guard of the service worker fleet
+(:mod:`repro.service.worker`).
 """
 
 from __future__ import annotations
 
 import base64
-import heapq
 import json
 import math
 import os
 import pickle
 import signal
 import threading
-import time
 import traceback
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from queue import Empty
-from typing import (Any, Dict, List, Optional, Sequence, Tuple, Union)
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
-from repro.obs.events import EventKind
 
 __all__ = [
-    "CampaignError", "CampaignJournal", "CampaignPolicy",
-    "CampaignResult", "RunFailure", "RunSuccess", "campaign_map",
-    "execute_guarded", "journal_summary", "policy_from_env", "run_specs",
+    "CampaignError", "CampaignJournal", "CampaignPolicy", "RunFailure",
+    "RunSuccess", "execute_guarded", "journal_summary", "policy_from_env",
+    "values_of",
 ]
 
 #: Failure kinds a campaign distinguishes (``RunFailure.kind``).
 EXCEPTION = "exception"
 TIMEOUT = "timeout"
 WORKER_DEATH = "worker-death"
-
-#: Seconds the parent grants past ``run_timeout`` before it stops
-#: trusting the worker's own alarm and kills it.
-_TIMEOUT_GRACE = 5.0
 
 
 @dataclass(frozen=True)
@@ -97,12 +82,23 @@ class CampaignPolicy:
         return min(self.backoff_cap,
                    self.backoff_base * (2.0 ** max(0, attempt - 1)))
 
+    def should_retry(self, kind: str, transient: bool,
+                     attempt: int) -> bool:
+        """Whether the ``attempt``-th failure of ``kind`` runs again."""
+        if attempt > self.retries:
+            return False
+        if kind == WORKER_DEATH:
+            return True
+        if kind == TIMEOUT:
+            return self.retry_timeouts
+        return transient
+
 
 def policy_from_env() -> Optional[CampaignPolicy]:
     """Build a policy from ``REPRO_RUN_TIMEOUT`` / ``REPRO_RETRIES``.
 
-    Returns ``None`` when neither is set (callers then keep the plain
-    fail-fast path). Malformed values raise
+    Returns ``None`` when neither is set (callers then use their own
+    default policy). Malformed values raise
     :class:`~repro.common.errors.ConfigError` so the CLI reports one
     clean line instead of a traceback.
     """
@@ -179,17 +175,32 @@ RunOutcome = Union[RunSuccess, RunFailure]
 
 
 class CampaignError(RuntimeError):
-    """A campaign finished with unresolved :class:`RunFailure` records."""
+    """A batch finished with unresolved :class:`RunFailure` records.
+
+    Raised only after every sibling run has finished and been kept.
+    ``detail`` replaces the first failure's description in the message
+    (``run_many`` names the failing spec's workload there).
+    """
 
     def __init__(self, failures: Sequence[RunFailure],
-                 journal_path: Optional[str] = None) -> None:
+                 journal_path: Optional[str] = None,
+                 detail: str = "") -> None:
         self.failures = list(failures)
         self.journal_path = journal_path
         hint = (f"; resume with the journal at {journal_path}"
                 if journal_path else "")
         super().__init__(
             f"{len(self.failures)} of the campaign's runs failed "
-            f"(first: {self.failures[0]}){hint}")
+            f"(first: {detail or self.failures[0]}){hint}")
+
+
+def values_of(outcomes: Sequence[RunOutcome]) -> List[Any]:
+    """The values of a batch's outcomes, in order; raises
+    :class:`CampaignError` if any run failed."""
+    failures = [outcome for outcome in outcomes if not outcome.ok]
+    if failures:
+        raise CampaignError(failures)
+    return [outcome.value for outcome in outcomes]
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +392,7 @@ def journal_summary(journal_path) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Guarded execution (shared by the serial path and the workers)
+# Guarded execution (every executor item and every service item)
 # ----------------------------------------------------------------------
 class _RunTimeout(BaseException):
     # BaseException deliberately: the run under execution (oracle,
@@ -405,8 +416,9 @@ def execute_guarded(fn, item, timeout: Optional[float]) -> tuple:
 
     Returns ``("ok", value)`` or
     ``("err", kind, error_type, message, traceback, transient)``.
-    Shared by the campaign executor's serial path, its one-attempt
-    workers, and the service worker fleet (:mod:`repro.service.worker`).
+    Shared by :func:`repro.harness.parallel.parallel_map` (serial loop
+    and slot workers alike) and the service worker fleet
+    (:mod:`repro.service.worker`).
     """
     armed = False
     if timeout and _alarm_available():
@@ -425,383 +437,3 @@ def execute_guarded(fn, item, timeout: Optional[float]) -> tuple:
         if armed:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-
-
-def _task_entry(fn, item, index: int, attempt: int,
-                timeout: Optional[float], queue) -> None:
-    """Worker body: one attempt of one run, result shipped by queue."""
-    queue.put((index, attempt, execute_guarded(fn, item, timeout)))
-
-
-# ----------------------------------------------------------------------
-# The executor
-# ----------------------------------------------------------------------
-def campaign_map(fn, items, *, keys: Optional[Sequence[str]] = None,
-                 jobs: int = 1, policy: Optional[CampaignPolicy] = None,
-                 journal: Optional[CampaignJournal] = None,
-                 bus=None, require_fork: bool = False
-                 ) -> List[RunOutcome]:
-    """Fault-tolerantly map ``fn`` over ``items``; one outcome per item.
-
-    The resilient sibling of
-    :func:`repro.harness.parallel.parallel_map`: order-preserving and
-    deterministic in its *results* (retries change wall-clock, never
-    values), but an item that ultimately fails yields a
-    :class:`RunFailure` instead of poisoning the batch. With a
-    ``journal``, items whose key is already committed are skipped and
-    replayed from the journal; live completions are committed as they
-    finish. ``bus`` (an :class:`~repro.obs.bus.EventBus`) receives
-    retry/timeout/worker-death/resume-skip events.
-    """
-    from repro.harness.parallel import fork_available
-
-    items = list(items)
-    policy = policy or CampaignPolicy()
-    if keys is None:
-        keys = [f"item{index:06d}" for index in range(len(items))]
-    else:
-        keys = [str(key) for key in keys]
-        if len(keys) != len(items):
-            raise ConfigError(f"campaign_map got {len(items)} items but "
-                              f"{len(keys)} keys")
-
-    outcomes: List[Optional[RunOutcome]] = [None] * len(items)
-    pending: List[int] = []
-    for index in range(len(items)):
-        if journal is not None:
-            payload = journal.get(keys[index])
-            if payload is not _MISS:
-                outcomes[index] = RunSuccess(index, keys[index], payload,
-                                             attempts=0, resumed=True)
-                _note(journal, bus, EventKind.RESUME_SKIP.value, index,
-                      keys[index])
-                continue
-        pending.append(index)
-
-    effective = min(jobs, len(pending)) if pending else 0
-    if effective > 1 and require_fork and not fork_available():
-        effective = 1
-    if effective > 1:
-        _run_pooled(fn, items, keys, pending, effective, policy,
-                    journal, bus, outcomes)
-    else:
-        _run_serial(fn, items, keys, pending, policy, journal, bus,
-                    outcomes)
-    _record_campaign_telemetry(outcomes, effective or 1)
-    return outcomes  # type: ignore[return-value]
-
-
-def _note(journal: Optional[CampaignJournal], bus, kind: str,
-          index: int, cause: str) -> None:
-    if journal is not None:
-        journal.note(kind, step=index, cause=cause)
-    if bus is not None:
-        bus.step = index
-        bus.emit(EventKind(kind), cause=cause)
-
-
-def _finalize(outcomes, journal, bus, keys, index: int,
-              outcome: RunOutcome) -> None:
-    outcomes[index] = outcome
-    if isinstance(outcome, RunSuccess):
-        if journal is not None:
-            journal.commit(keys[index], outcome.value)
-        return
-    if journal is not None:
-        journal.note("run_failure", step=index, cause=outcome.kind,
-                     error_type=outcome.error_type, error=outcome.error,
-                     attempts=outcome.attempts, key=outcome.key)
-    if outcome.kind == TIMEOUT:
-        _note(journal, bus, EventKind.RUN_TIMEOUT.value, index,
-              outcome.key)
-
-
-def _should_retry(policy: CampaignPolicy, kind: str, transient: bool,
-                  attempt: int) -> bool:
-    if attempt > policy.retries:
-        return False
-    if kind == WORKER_DEATH:
-        return True
-    if kind == TIMEOUT:
-        return policy.retry_timeouts
-    return transient
-
-
-def _failure_from(keys, index: int, attempt: int, err: tuple
-                  ) -> RunFailure:
-    _tag, kind, error_type, message, tb = err[:5]
-    return RunFailure(index, keys[index], kind, error_type, message, tb,
-                      attempts=attempt)
-
-
-def _run_serial(fn, items, keys, pending, policy, journal, bus,
-                outcomes) -> None:
-    """In-process fallback: same semantics minus worker-death isolation
-    (a hard crash here kills the campaign -- the journal still bounds
-    the loss to the current run)."""
-    for index in pending:
-        attempt = 0
-        while True:
-            attempt += 1
-            result = execute_guarded(fn, items[index],
-                                      policy.run_timeout)
-            if result[0] == "ok":
-                _finalize(outcomes, journal, bus, keys, index,
-                          RunSuccess(index, keys[index], result[1],
-                                     attempts=attempt))
-                break
-            kind, transient = result[1], result[5]
-            if kind == TIMEOUT:
-                _note(journal, bus, EventKind.RUN_TIMEOUT.value, index,
-                      keys[index])
-            if _should_retry(policy, kind, transient, attempt):
-                _note(journal, bus, EventKind.RUN_RETRY.value, index,
-                      kind)
-                time.sleep(policy.backoff(attempt))
-                continue
-            _finalize(outcomes, journal, bus, keys, index,
-                      _failure_from(keys, index, attempt, result))
-            break
-
-
-@dataclass
-class _Active:
-    process: Any
-    index: int
-    attempt: int
-    deadline: Optional[float]
-
-
-def _run_pooled(fn, items, keys, pending, jobs, policy, journal, bus,
-                outcomes) -> None:
-    """Process-per-attempt execution with claim-free death detection.
-
-    Each worker process is bound to exactly one (item, attempt) at spawn
-    time, so a dead worker unambiguously identifies the single run it
-    lost -- there is no task queue a crash could silently swallow from.
-    """
-    from repro.harness.parallel import _pool_context
-
-    context = _pool_context()
-    result_queue = context.Queue()
-    waiting: deque = deque(pending)
-    retry_heap: List[Tuple[float, int, int]] = []   # (ready, index, att)
-    attempts: Dict[int, int] = {index: 0 for index in pending}
-    active: List[_Active] = []
-    received: Dict[Tuple[int, int], tuple] = {}
-    remaining = len(pending)
-
-    def drain() -> None:
-        while True:
-            try:
-                index, attempt, payload = result_queue.get_nowait()
-            except Empty:
-                return
-            received[(index, attempt)] = payload
-
-    def fail_or_retry(slot: _Active, err: tuple) -> None:
-        nonlocal remaining
-        kind, transient = err[1], err[5]
-        if kind == TIMEOUT:
-            _note(journal, bus, EventKind.RUN_TIMEOUT.value, slot.index,
-                  keys[slot.index])
-        if _should_retry(policy, kind, transient, slot.attempt):
-            _note(journal, bus, EventKind.RUN_RETRY.value, slot.index,
-                  kind)
-            heapq.heappush(retry_heap,
-                           (time.monotonic()
-                            + policy.backoff(slot.attempt),
-                            slot.index, slot.attempt))
-            return
-        _finalize(outcomes, journal, bus, keys, slot.index,
-                  _failure_from(keys, slot.index, slot.attempt, err))
-        remaining -= 1
-
-    def finish(slot: _Active, payload: tuple) -> None:
-        nonlocal remaining
-        active.remove(slot)
-        slot.process.join()
-        if payload[0] == "ok":
-            _finalize(outcomes, journal, bus, keys, slot.index,
-                      RunSuccess(slot.index, keys[slot.index],
-                                 payload[1], attempts=slot.attempt))
-            remaining -= 1
-        else:
-            fail_or_retry(slot, payload)
-
-    try:
-        while remaining > 0:
-            now = time.monotonic()
-            while retry_heap and retry_heap[0][0] <= now:
-                _ready, index, _attempt = heapq.heappop(retry_heap)
-                waiting.append(index)
-            while waiting and len(active) < jobs:
-                index = waiting.popleft()
-                attempts[index] += 1
-                attempt = attempts[index]
-                deadline = (None if policy.run_timeout is None else
-                            time.monotonic() + policy.run_timeout
-                            + _TIMEOUT_GRACE)
-                process = context.Process(
-                    target=_task_entry,
-                    args=(fn, items[index], index, attempt,
-                          policy.run_timeout, result_queue),
-                    daemon=True)
-                process.start()
-                active.append(_Active(process, index, attempt, deadline))
-            # Block briefly on the queue, then sweep the active set.
-            try:
-                index, attempt, payload = result_queue.get(timeout=0.05)
-                received[(index, attempt)] = payload
-            except Empty:
-                pass
-            drain()
-            now = time.monotonic()
-            for slot in list(active):
-                payload = received.pop((slot.index, slot.attempt), None)
-                if payload is not None:
-                    finish(slot, payload)
-                elif not slot.process.is_alive():
-                    # Killed worker: drain once more in case the result
-                    # landed between the last sweep and its death.
-                    drain()
-                    payload = received.pop((slot.index, slot.attempt),
-                                           None)
-                    if payload is not None:
-                        finish(slot, payload)
-                        continue
-                    active.remove(slot)
-                    slot.process.join()
-                    _note(journal, bus, EventKind.WORKER_DEATH.value,
-                          slot.index, keys[slot.index])
-                    fail_or_retry(slot, ("err", WORKER_DEATH,
-                                         "WorkerDeath",
-                                         f"worker exited with code "
-                                         f"{slot.process.exitcode} before"
-                                         f" delivering a result", "",
-                                         True))
-                elif slot.deadline is not None and now > slot.deadline:
-                    slot.process.kill()
-                    slot.process.join()
-                    active.remove(slot)
-                    fail_or_retry(slot, ("err", TIMEOUT, "TimeoutError",
-                                         f"run exceeded "
-                                         f"{policy.run_timeout:.3f}s "
-                                         f"(parent-enforced)", "",
-                                         False))
-    finally:
-        for slot in active:
-            slot.process.kill()
-            slot.process.join()
-        result_queue.close()
-        result_queue.join_thread()
-
-
-def _record_campaign_telemetry(outcomes, effective: int) -> None:
-    from repro.harness import parallel
-
-    telemetry = parallel._telemetry
-    telemetry["effective_jobs"] = effective
-    for outcome in outcomes:
-        if outcome is None:
-            continue
-        if isinstance(outcome, RunFailure):
-            telemetry["run_failures"] += 1
-        elif outcome.resumed:
-            telemetry["resume_skips"] += 1
-        if outcome.attempts > 1:
-            telemetry["run_retries"] += outcome.attempts - 1
-
-
-# ----------------------------------------------------------------------
-# Spec-level campaigns (the fault-tolerant run_many)
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignResult:
-    """Everything a ``run_specs`` campaign produced.
-
-    ``results`` is aligned with the requested specs (``None`` where the
-    run ultimately failed); ``outcomes`` is aligned with the *executed*
-    subset, in plan order.
-    """
-
-    results: List[Optional[Any]]
-    outcomes: List[RunOutcome] = field(default_factory=list)
-    failures: List[RunFailure] = field(default_factory=list)
-    resumed: int = 0
-    executed: int = 0
-    cache_hits: int = 0
-    journal_path: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def require_complete(self) -> List[Any]:
-        """The full results list, or :class:`CampaignError` if any run
-        failed (completed results stay cached/journaled for resume)."""
-        if self.failures:
-            raise CampaignError(self.failures, self.journal_path)
-        return self.results
-
-
-def _spec_task(job):
-    from repro.harness.parallel import execute_run
-
-    _index, spec, trace_path = job
-    return execute_run(spec, trace_path)
-
-
-def run_specs(specs, jobs: Optional[int] = None, cache=_MISS,
-              trace_dir=None, policy: Optional[CampaignPolicy] = None,
-              journal: Optional[CampaignJournal] = None,
-              bus=None) -> CampaignResult:
-    """Fault-tolerant :func:`~repro.harness.parallel.run_many`.
-
-    Same planning (session cache consultation, duplicate collapsing,
-    lazy trace paths) but pending runs execute under
-    :func:`campaign_map`: failures become :class:`RunFailure` records
-    instead of exceptions, completed results are cached *and* journaled
-    as they finish, and a resume replays journaled payloads without
-    re-simulating. ``cache`` follows :func:`run_many`'s convention:
-    the session cache by default, ``None`` to disable memoization.
-    """
-    from repro.harness import parallel
-
-    specs = list(specs)
-    jobs = (parallel.default_jobs() if jobs is None
-            else parallel.parse_jobs(jobs, "jobs"))
-    if cache is _MISS:
-        cache = parallel.session_cache()
-    plan = parallel.plan_batch(specs, cache, trace_dir, want_keys=True)
-    dropped_before = cache.dropped_puts if cache is not None else 0
-
-    outcomes = campaign_map(
-        _spec_task, plan.pending,
-        keys=[plan.keys[index] for index, _spec, _trace in plan.pending],
-        jobs=jobs, policy=policy, journal=journal, bus=bus)
-
-    executed = 0
-    for (index, _spec, _trace), outcome in zip(plan.pending, outcomes):
-        if isinstance(outcome, RunSuccess):
-            plan.results[index] = outcome.value
-            if not outcome.resumed:
-                executed += 1
-            if cache is not None:
-                cache.put(plan.keys[index], outcome.value)
-    parallel.resolve_aliases(plan)
-    parallel.record_batch_telemetry(
-        plan, executed,
-        dropped_puts=(cache.dropped_puts - dropped_before
-                      if cache is not None else 0))
-
-    failures = [outcome for outcome in outcomes
-                if isinstance(outcome, RunFailure)]
-    return CampaignResult(
-        results=plan.results, outcomes=list(outcomes), failures=failures,
-        resumed=sum(1 for outcome in outcomes
-                    if isinstance(outcome, RunSuccess)
-                    and outcome.resumed),
-        executed=executed,
-        cache_hits=len(specs) - len(plan.pending),
-        journal_path=str(journal.path) if journal is not None else None)

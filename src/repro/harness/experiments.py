@@ -25,10 +25,9 @@ Scaling knobs (environment variables):
 ``REPRO_SCALE``     capacity scale divisor (default 16; 1 = paper-sized)
 ``REPRO_JOBS``      worker processes for independent runs (default 1)
 ``REPRO_CACHE_DIR`` persist run results on disk across sessions
-``REPRO_RUN_TIMEOUT`` per-run deadline in seconds; routes figure batches
-                    through the fault-tolerant campaign layer
+``REPRO_RUN_TIMEOUT`` per-run deadline in seconds (default: none)
 ``REPRO_RETRIES``   retry budget for transient failures (worker death,
-                    OSError); also enables the campaign layer
+                    OSError; default 2)
 """
 
 from __future__ import annotations
@@ -43,10 +42,9 @@ from repro.common.config import (DirCachingPolicy, DirectoryConfig,
                                  SystemConfig, CacheGeometry,
                                  scaled_socket)
 from repro.common.stats import weighted_speedup
-from repro.harness.campaign import policy_from_env, run_specs
 from repro.harness.energy import estimate_energy
-from repro.harness.parallel import (run_many, telemetry_since,
-                                    telemetry_snapshot)
+from repro.harness.parallel import (record_direct_run, run_many,
+                                    telemetry_since, telemetry_snapshot)
 from repro.harness.reporting import Table, geomean
 from repro.harness.runner import RunResult, run_workload
 from repro.harness.system_builder import build_system
@@ -154,19 +152,16 @@ def run_config(config: SystemConfig, workload: Workload) -> RunResult:
 
 
 def run_configs(pairs) -> List[RunResult]:
-    """Run a batch of (config, workload) pairs under the figure-level
-    parallelism/cache policy; results in request order.
+    """Run a batch of (config, workload) pairs on ``REPRO_JOBS`` workers
+    through the session cache; results in request order.
 
-    With ``REPRO_RUN_TIMEOUT`` / ``REPRO_RETRIES`` set, the batch runs
-    under the fault-tolerant campaign layer: crashed or wedged runs are
-    retried per the policy, completed runs stay in the session cache,
-    and only then does an unrecoverable failure raise (so a re-run
-    resumes from the cache instead of starting over).
+    Crashed or wedged runs are retried under the
+    ``REPRO_RUN_TIMEOUT`` / ``REPRO_RETRIES`` policy (see
+    :func:`~repro.harness.parallel.run_many`); completed runs stay in
+    the session cache, and only then does an unrecoverable failure
+    raise, so a re-run resumes from the cache instead of starting over.
     """
-    policy = policy_from_env()
-    if policy is None:
-        return run_many(pairs, jobs=jobs())
-    return run_specs(pairs, jobs=jobs(), policy=policy).require_complete()
+    return run_many(pairs, jobs=jobs())
 
 
 def speedup_of(base: RunResult, new: RunResult, suite: str) -> float:
@@ -341,8 +336,8 @@ def fig5_llc_occupancy() -> Tuple[Table, dict]:
     Measured as the peak unbounded-directory occupancy beyond the 1x
     capacity, expressed as a percentage of LLC blocks (one entry per
     block, as the paper projects). Runs serially: the periodic
-    directory-occupancy probe needs the live system, which the parallel
-    layer deliberately does not return.
+    directory-occupancy probe needs the live system, which the batch
+    executor deliberately does not return.
     """
     table = Table("Figure 5: projected LLC occupancy of spilled "
                   "entries (% of LLC blocks)")
@@ -362,8 +357,9 @@ def fig5_llc_occupancy() -> Tuple[Table, dict]:
             def probe(sys_, peak=peak):
                 peak[0] = max(peak[0], len(sys_.directory))
 
-            run_workload(system, workload, sample_every=2000,
-                         sample_fn=probe)
+            run = run_workload(system, workload, sample_every=2000,
+                               sample_fn=probe)
+            record_direct_run(run.stats.total_accesses, run.wall_seconds)
             peak[0] = max(peak[0], len(system.directory))
             overflow = max(0, peak[0] - capacity_1x)
             maxima.append(100.0 * overflow / llc_blocks)
@@ -919,9 +915,12 @@ def multisocket_comparison(n_sockets: int = 4) -> Tuple[Table, dict]:
                               cores=list(range(total_cores)))
             workload = Workload(profile.name, traces)
             base = MultiSocketSystem(base_config, n_sockets=n_sockets)
-            run_multisocket_workload(base, workload)
             zdev = MultiSocketSystem(znodir, n_sockets=n_sockets)
-            run_multisocket_workload(zdev, workload)
+            for system in (base, zdev):
+                started = time.perf_counter()
+                run_multisocket_workload(system, workload)
+                record_direct_run(workload.total_accesses,
+                                  time.perf_counter() - started)
             s = base.total_cycles() / zdev.total_cycles()
             speedups.append(s)
             table.add(f"{profile.name}", s)

@@ -13,8 +13,8 @@ retained as cycle summaries only -- never as live systems -- so long
 sweeps do not accumulate simulator state.
 
 Long sweeps can run fault-tolerantly: ``run(..., resume=path)`` journals
-every completed run through :mod:`repro.harness.campaign` and skips
-journaled runs on re-execution (bit-identical points to an
+every completed run in a :class:`~repro.harness.campaign.CampaignJournal`
+and skips journaled runs on re-execution (bit-identical points to an
 uninterrupted sweep), while ``policy=`` adds per-run timeouts and
 retries. A sweep that still has failed runs after retries raises
 :class:`~repro.harness.campaign.CampaignError` naming the journal to
@@ -28,8 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig
 from repro.common.stats import SystemStats, weighted_speedup
-from repro.harness.campaign import (CampaignJournal, CampaignPolicy,
-                                    run_specs)
+from repro.harness.campaign import CampaignJournal, CampaignPolicy
 from repro.harness.parallel import run_many
 from repro.harness.reporting import geomean
 from repro.harness.system_builder import build_system  # noqa: F401  (API)
@@ -95,11 +94,8 @@ class Sweep:
         self._baselines: Dict[str, BaselineSummary] = {}
 
     def _run_batch(self, specs, policy, journal) -> List:
-        if policy is None and journal is None:
-            return run_many(specs, jobs=self._jobs)
-        campaign = run_specs(specs, jobs=self._jobs, policy=policy,
-                             journal=journal)
-        return campaign.require_complete()
+        return run_many(specs, jobs=self._jobs, policy=policy,
+                        journal=journal)
 
     def _ensure_baselines(self, workloads: Sequence[Workload],
                           policy: Optional[CampaignPolicy] = None,

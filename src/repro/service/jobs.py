@@ -350,21 +350,21 @@ class SweepJobKind(JobKind):
 
     def item_keys(self, spec):
         from repro.harness.result_cache import run_key
-        _sweep, _workloads, run_specs = self._parts(spec)
+        _sweep, _workloads, runs = self._parts(spec)
         return [run_key(config, workload)
-                for config, workload in run_specs]
+                for config, workload in runs]
 
     def execute(self, spec, index):
         from repro.harness.parallel import execute_run
-        _sweep, _workloads, run_specs = self._parts(spec)
-        return execute_run(run_specs[index])
+        _sweep, _workloads, runs = self._parts(spec)
+        return execute_run(runs[index])
 
     def finalize(self, spec, payloads, failures, job_dir):
-        sweep, workloads, run_specs = self._parts(spec)
+        sweep, workloads, runs = self._parts(spec)
         params = spec.params
         from repro.harness.result_cache import run_key
         keys = [run_key(config, workload)
-                for config, workload in run_specs]
+                for config, workload in runs]
         self.write_journal(
             job_dir,
             dict(campaign="sweep", apps=params["apps"],

@@ -38,7 +38,7 @@ from typing import Optional
 
 from repro.common.errors import ConfigError
 from repro.common.ioutil import atomic_write_text
-from repro.harness.campaign import (EXCEPTION, TIMEOUT, CampaignPolicy,
+from repro.harness.campaign import (TIMEOUT, CampaignPolicy,
                                     execute_guarded, policy_from_env)
 from repro.obs.events import EventKind
 from repro.service.jobs import JOB_KINDS, JobStore
@@ -163,10 +163,7 @@ class Worker:
             self._commit(item, outcome[1], to_store=True)
             return
         _tag, fail_kind, error_type, error, _tb, transient = outcome
-        retryable = (transient if fail_kind == EXCEPTION else
-                     self.policy.retry_timeouts if fail_kind == TIMEOUT
-                     else True)
-        if retryable and item.attempt <= self.policy.retries:
+        if self.policy.should_retry(fail_kind, transient, item.attempt):
             event = (EventKind.RUN_TIMEOUT.value if fail_kind == TIMEOUT
                      else EventKind.RUN_RETRY.value)
             self._event(item.job, event, item.index,

@@ -23,7 +23,7 @@ emitted as replayable ``.npz`` + pytest regressions.
 
 Campaigns are *fault tolerant at the harness level* too: every
 (trace, model) run executes under
-:func:`repro.harness.campaign.campaign_map`, so a crashed or wedged
+:func:`repro.harness.parallel.parallel_map`, so a crashed or wedged
 worker turns into a recorded harness failure (after retries) instead of
 aborting the matrix -- every other run's outcome is kept, and the report
 says exactly which runs are missing. With ``resume=<journal>`` each
@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.harness.campaign import (CampaignJournal, CampaignPolicy,
-                                    RunSuccess, campaign_map)
+from repro.harness.campaign import CampaignJournal, CampaignPolicy
+from repro.harness.parallel import parallel_map
 from repro.verify.faults import DETECTABLE, FaultPlan, arm_fault
 from repro.verify.models import ModelSpec, micro_config, model_matrix
 from repro.verify.oracle import Outcome, run_trace
@@ -150,7 +150,7 @@ class CampaignPlan:
     """The deterministic (trace x model) grid one campaign executes.
 
     Shared by :func:`run_campaign` (in-process execution via
-    ``campaign_map``) and the job service (item-granular execution by a
+    ``parallel_map``) and the job service (item-granular execution by a
     worker fleet): both sides derive the *same* run order, run keys, and
     fold, so a service job's report is bit-identical to an in-process
     campaign over the same spec.
@@ -317,7 +317,7 @@ def run_campaign(seed: int, budget: int,
     _ACTIVE_JOBS = [(spec, trace, check_every, fault)
                     for trace in plan.traces for spec in plan.specs]
     try:
-        outcomes = campaign_map(_run_job, range(len(_ACTIVE_JOBS)),
+        outcomes = parallel_map(_run_job, range(len(_ACTIVE_JOBS)),
                                 keys=plan.keys, jobs=jobs, policy=policy,
                                 journal=journal, require_fork=True)
     finally:
@@ -327,13 +327,12 @@ def run_campaign(seed: int, budget: int,
 
     flat: List[Optional[Outcome]] = [None] * len(outcomes)
     for position, run in enumerate(outcomes):
-        if isinstance(run, RunSuccess):
+        report.retried_runs += max(0, run.attempts - 1)
+        if run.ok:
             flat[position] = run.value
             report.resumed_runs += int(run.resumed)
-            report.retried_runs += max(0, run.attempts - 1)
         else:
             report.harness_failures.append(str(run))
-            report.retried_runs += max(0, run.attempts - 1)
     fold_flat(report, plan, flat)
 
     if shrink:

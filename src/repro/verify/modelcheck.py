@@ -69,6 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.coherence.exhaustive import Counterexample
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.errors import ConfigError
+from repro.harness.campaign import values_of
 from repro.harness.parallel import parallel_map
 from repro.obs.events import EventKind
 from repro.verify.checks import check_step, dev_count, DivergenceError
@@ -479,8 +480,9 @@ def _explore_frontier(report: ModelCheckReport,
             if len(parts) == 1:
                 outcomes = [_expand_partition(parts[0])]
             else:
-                outcomes = parallel_map(_expand_partition, parts,
-                                        jobs=jobs, require_fork=True)
+                outcomes = values_of(parallel_map(
+                    _expand_partition, parts, jobs=jobs,
+                    require_fork=True))
         finally:
             _EXPAND_CTX = None
 

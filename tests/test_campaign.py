@@ -1,12 +1,16 @@
-"""Tests for the fault-tolerant campaign layer.
+"""Tests for the batch executor's fault tolerance.
 
-The load-bearing properties:
+The load-bearing properties of :func:`parallel_map` / :func:`run_many`:
 
-* **Crash isolation** -- a worker SIGKILLed mid-campaign (or a run that
+* **Slot workers** -- a batch runs on at most ``jobs`` long-lived
+  worker processes, not one process per item.
+* **Crash isolation** -- a worker SIGKILLed mid-batch (or a run that
   raises) costs exactly that run; every sibling result is retained and
-  the loss is a typed :class:`RunFailure` (or a successful retry).
+  the loss is a typed :class:`RunFailure` (or a successful retry on a
+  respawned worker).
 * **Timeouts** -- a wedged run becomes a ``timeout`` failure on both the
-  serial and the pooled path instead of hanging the batch.
+  serial and the slot-worker path instead of hanging the batch, whether
+  the worker's own alarm or the parent's backstop catches it.
 * **Checkpoint/resume** -- re-running against the same journal executes
   nothing already committed and yields stats bit-identical to an
   uninterrupted serial run.
@@ -21,22 +25,25 @@ from __future__ import annotations
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 import warnings
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.common.errors import ConfigError
 from repro.harness import parallel
 from repro.harness.campaign import (CampaignError, CampaignJournal,
                                     CampaignPolicy, RunFailure,
-                                    RunSuccess, campaign_map,
-                                    journal_summary, policy_from_env,
-                                    run_specs)
-from repro.harness.parallel import (ParallelMapError, fork_available,
-                                    parallel_map, run_many,
-                                    telemetry_since, telemetry_snapshot)
+                                    RunSuccess, journal_summary,
+                                    policy_from_env, values_of)
+from repro.harness.parallel import (fork_available, parallel_map,
+                                    run_many, telemetry_since,
+                                    telemetry_snapshot)
 from repro.harness.result_cache import (ResultCache,
                                         reset_session_cache)
 from repro.workloads import make_multithreaded
@@ -46,6 +53,8 @@ from tests.conftest import tiny_config, zerodev_config
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                                 reason="needs SIGALRM")
 
 
 @pytest.fixture(autouse=True)
@@ -76,11 +85,6 @@ def stats_dicts(results):
 # ----------------------------------------------------------------------
 # Module-level workers (fork-picklable)
 # ----------------------------------------------------------------------
-def _double(item):
-    index, _marker_dir = item
-    return index * 2
-
-
 def _kill_self_once(item):
     """SIGKILL the worker on the first attempt of item 1, then succeed."""
     index, marker_dir = item
@@ -90,6 +94,7 @@ def _kill_self_once(item):
             marker.write_text("x")
             os.kill(os.getpid(), signal.SIGKILL)
     return index * 2
+
 
 def _kill_self_always(item):
     index, _marker_dir = item
@@ -121,6 +126,15 @@ def _sleep_forever(item):
     return index * 2
 
 
+def _sleep_ignoring_alarm(item):
+    """A wedged run the worker's own alarm cannot interrupt."""
+    index, _marker_dir = item
+    if index == 1:
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)
+        time.sleep(60.0)
+    return index * 2
+
+
 def _sleep_catching_exceptions(item):
     """A run that records Exceptions as results, like the fuzz oracle."""
     index, _marker_dir = item
@@ -136,18 +150,129 @@ def _identity(value):
     return value
 
 
+def _unpicklable_at_1(index):
+    return (lambda: index) if index == 1 else index
+
+
+def _worker_pid(_item):
+    return os.getpid()
+
+
+def _process_alive(pid):
+    """Running (not a zombie) according to ``/proc``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+#: A batch whose item 0 finishes at once (its worker goes idle) while
+#: item 1 sleeps; each item records its worker's pid in argv[1].
+_ORPHAN_SCRIPT = textwrap.dedent("""
+    import os, sys, time
+    from pathlib import Path
+    from repro.harness.parallel import parallel_map
+
+    def record(index):
+        Path(sys.argv[1], f"item{index}.pid").write_text(str(os.getpid()))
+        if index == 1:
+            time.sleep(60.0)
+        return index
+
+    parallel_map(record, [0, 1], jobs=2)
+""")
+
+
 # ----------------------------------------------------------------------
-# campaign_map: crash isolation, retries, timeouts
+# parallel_map: slot workers, crash isolation, retries, timeouts
 # ----------------------------------------------------------------------
+class TestSlotWorkers:
+    @needs_fork
+    def test_batch_runs_on_at_most_jobs_workers(self):
+        outcomes = parallel_map(_worker_pid, range(12), jobs=2,
+                                policy=CampaignPolicy(retries=1))
+        assert all(outcome.ok for outcome in outcomes)
+        pids = set(values_of(outcomes))
+        assert os.getpid() not in pids
+        assert len(pids) <= 2                # not one process per item
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="needs /proc")
+    def test_idle_worker_exits_when_parent_is_killed(self, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT, str(tmp_path)], env=env)
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(pids) < 2:
+                assert parent.poll() is None, "batch exited early"
+                assert time.monotonic() < deadline, "workers never ran"
+                time.sleep(0.05)
+                pids = [int(text) for text in
+                        (path.read_text() for path in
+                         sorted(tmp_path.glob("item*.pid"))) if text]
+            time.sleep(0.3)                  # item 0's worker goes idle
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while _process_alive(pids[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _process_alive(pids[0]), "orphaned idle worker"
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_serial_path_runs_in_process(self):
+        outcomes = parallel_map(_worker_pid, range(3), jobs=1)
+        assert set(values_of(outcomes)) == {os.getpid()}
+
+    @needs_fork
+    def test_run_many_survives_a_killed_worker(self, tmp_path,
+                                               monkeypatch):
+        specs = small_specs()
+        reference = run_many(specs, jobs=1, cache=None)
+        reset_session_cache()
+        real = parallel.run_workload
+        marker = tmp_path / "killed.marker"
+
+        def kill_once(system, workload):
+            if workload.name == "canneal" and not marker.exists():
+                marker.write_text("x")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(system, workload)
+
+        # Patched before the batch forks: the slot workers inherit it.
+        monkeypatch.setattr(parallel, "run_workload", kill_once)
+        before = telemetry_snapshot()
+        results = run_many(specs, jobs=2,
+                           policy=CampaignPolicy(retries=1,
+                                                 backoff_base=0.01))
+        delta = telemetry_since(before)
+        assert marker.exists()
+        assert stats_dicts(results) == stats_dicts(reference)
+        assert delta["run_retries"] == 1
+        assert delta["run_failures"] == 0
+        assert delta["runs"] == len(specs)
+
+
 class TestCrashIsolation:
     @needs_fork
     def test_sigkilled_worker_is_retried(self, tmp_path):
         items = [(index, str(tmp_path)) for index in range(4)]
-        outcomes = campaign_map(_kill_self_once, items, jobs=2,
+        outcomes = parallel_map(_kill_self_once, items, jobs=2,
                                 policy=CampaignPolicy(retries=2,
                                                       backoff_base=0.01))
         assert all(isinstance(o, RunSuccess) for o in outcomes)
-        assert [o.value for o in outcomes] == [0, 2, 4, 6]
+        assert values_of(outcomes) == [0, 2, 4, 6]
         assert outcomes[1].attempts == 2       # died once, retried
         assert all(o.attempts == 1 for i, o in enumerate(outcomes)
                    if i != 1)
@@ -156,7 +281,7 @@ class TestCrashIsolation:
     def test_sigkilled_worker_without_retries_is_typed_failure(
             self, tmp_path):
         items = [(index, str(tmp_path)) for index in range(4)]
-        outcomes = campaign_map(_kill_self_always, items, jobs=2,
+        outcomes = parallel_map(_kill_self_always, items, jobs=2,
                                 policy=CampaignPolicy(retries=0))
         assert isinstance(outcomes[1], RunFailure)
         assert outcomes[1].kind == "worker-death"
@@ -165,20 +290,23 @@ class TestCrashIsolation:
         assert [o.value for i, o in enumerate(outcomes) if i != 1] \
             == [0, 4, 6]
 
-    def test_oserror_is_retried_serially(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_oserror_is_retried(self, tmp_path, jobs):
         items = [(index, str(tmp_path)) for index in range(3)]
-        outcomes = campaign_map(_oserror_once, items, jobs=1,
+        outcomes = parallel_map(_oserror_once, items, jobs=jobs,
                                 policy=CampaignPolicy(retries=1,
                                                       backoff_base=0.01))
         assert all(isinstance(o, RunSuccess) for o in outcomes)
         assert all(o.attempts == 2 for o in outcomes)
 
-    def test_deterministic_exception_is_not_retried(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deterministic_exception_is_not_retried(self, tmp_path, jobs):
         items = [(index, str(tmp_path)) for index in range(3)]
-        outcomes = campaign_map(_value_error, items, jobs=1,
+        outcomes = parallel_map(_value_error, items, jobs=jobs,
                                 policy=CampaignPolicy(retries=3))
         failure = outcomes[1]
         assert isinstance(failure, RunFailure)
+        assert failure.index == 1
         assert failure.kind == "exception"
         assert failure.error_type == "ValueError"
         assert failure.attempts == 1           # ValueError is permanent
@@ -186,12 +314,26 @@ class TestCrashIsolation:
         assert [o.value for i, o in enumerate(outcomes) if i != 1] \
             == [0, 4]
 
-    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
-                        reason="needs SIGALRM")
+    @needs_fork
+    def test_unpicklable_value_is_typed_failure(self):
+        outcomes = parallel_map(_unpicklable_at_1, range(3), jobs=2,
+                                policy=CampaignPolicy(retries=2))
+        assert isinstance(outcomes[1], RunFailure)
+        assert outcomes[1].kind == "exception"
+        assert outcomes[1].attempts == 1       # not a worker death
+        assert [outcomes[0].value, outcomes[2].value] == [0, 2]
+
+    def test_values_of_raises_on_failure(self, tmp_path):
+        items = [(index, str(tmp_path)) for index in range(3)]
+        assert values_of(parallel_map(_identity, items, jobs=1)) == items
+        with pytest.raises(CampaignError, match="ValueError"):
+            values_of(parallel_map(_value_error, items, jobs=1))
+
+    @needs_alarm
     def test_serial_timeout_becomes_typed_failure(self, tmp_path):
         items = [(index, str(tmp_path)) for index in range(2)]
         started = time.monotonic()
-        outcomes = campaign_map(
+        outcomes = parallel_map(
             _sleep_forever, items, jobs=1,
             policy=CampaignPolicy(retries=2, run_timeout=0.2))
         assert time.monotonic() - started < 30.0
@@ -202,28 +344,48 @@ class TestCrashIsolation:
         assert outcomes[0].value == 0
 
     @needs_fork
-    def test_pooled_timeout_becomes_typed_failure(self, tmp_path):
+    def test_worker_timeout_becomes_typed_failure(self, tmp_path):
         items = [(index, str(tmp_path)) for index in range(3)]
         started = time.monotonic()
-        outcomes = campaign_map(
+        outcomes = parallel_map(
             _sleep_forever, items, jobs=2,
             policy=CampaignPolicy(retries=0, run_timeout=0.2))
         assert time.monotonic() - started < 30.0
         failure = outcomes[1]
         assert isinstance(failure, RunFailure)
         assert failure.kind == "timeout"
+        assert "parent-enforced" not in failure.error  # worker's alarm
         assert [o.value for i, o in enumerate(outcomes) if i != 1] \
             == [0, 4]
 
-    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
-                        reason="needs SIGALRM")
-    def test_timeout_pierces_broad_exception_handlers(self, tmp_path):
+    @needs_fork
+    @needs_alarm
+    def test_parent_backstop_kills_and_respawns_worker(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(parallel, "_TIMEOUT_GRACE", 0.3)
+        items = [(index, str(tmp_path)) for index in range(4)]
+        started = time.monotonic()
+        outcomes = parallel_map(
+            _sleep_ignoring_alarm, items, jobs=2,
+            policy=CampaignPolicy(retries=0, run_timeout=0.2))
+        assert time.monotonic() - started < 30.0
+        failure = outcomes[1]
+        assert isinstance(failure, RunFailure)
+        assert failure.kind == "timeout"
+        assert "parent-enforced" in failure.error
+        assert [o.value for i, o in enumerate(outcomes) if i != 1] \
+            == [0, 4, 6]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @needs_alarm
+    def test_timeout_pierces_broad_exception_handlers(self, tmp_path,
+                                                      jobs):
         # The fuzz oracle catches Exception per step and records it as
         # an outcome; a timeout must never be swallowed into a "result"
         # that way (it would be committed to the journal as a success).
         items = [(index, str(tmp_path)) for index in range(2)]
-        outcomes = campaign_map(
-            _sleep_catching_exceptions, items, jobs=1,
+        outcomes = parallel_map(
+            _sleep_catching_exceptions, items, jobs=jobs,
             policy=CampaignPolicy(retries=0, run_timeout=0.2))
         assert isinstance(outcomes[1], RunFailure)
         assert outcomes[1].kind == "timeout"
@@ -231,7 +393,7 @@ class TestCrashIsolation:
 
     def test_key_count_mismatch_raises(self):
         with pytest.raises(ConfigError, match="keys"):
-            campaign_map(_identity, [1, 2, 3], keys=["only-one"])
+            parallel_map(_identity, [1, 2, 3], jobs=1, keys=["only-one"])
 
 
 # ----------------------------------------------------------------------
@@ -241,41 +403,42 @@ class TestJournal:
     def test_commit_and_resume_skip(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            outcomes = campaign_map(_identity, [10, 20, 30],
+            outcomes = parallel_map(_identity, [10, 20, 30], jobs=1,
                                     keys=["a", "b", "c"],
                                     journal=journal)
-        assert [o.value for o in outcomes] == [10, 20, 30]
+        assert values_of(outcomes) == [10, 20, 30]
         assert path.exists()
         with CampaignJournal(path) as journal:
             assert len(journal) == 3
-            again = campaign_map(_identity, [10, 20, 30],
+            again = parallel_map(_identity, [10, 20, 30], jobs=1,
                                  keys=["a", "b", "c"], journal=journal)
         assert all(o.resumed for o in again)
         assert all(o.attempts == 0 for o in again)
-        assert [o.value for o in again] == [10, 20, 30]
+        assert values_of(again) == [10, 20, 30]
 
     def test_partial_journal_resumes_only_missing(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            campaign_map(_identity, [10, 20], keys=["a", "b"],
+            parallel_map(_identity, [10, 20], jobs=1, keys=["a", "b"],
                          journal=journal)
         with CampaignJournal(path) as journal:
-            outcomes = campaign_map(_identity, [10, 20, 30],
+            outcomes = parallel_map(_identity, [10, 20, 30], jobs=2,
                                     keys=["a", "b", "c"],
                                     journal=journal)
         assert [o.resumed for o in outcomes] == [True, True, False]
+        assert values_of(outcomes) == [10, 20, 30]
 
     def test_torn_tail_is_tolerated(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            campaign_map(_identity, [10, 20], keys=["a", "b"],
+            parallel_map(_identity, [10, 20], jobs=1, keys=["a", "b"],
                          journal=journal)
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"kind": "run_ok", "key": "c", "pay')  # torn
         with CampaignJournal(path) as journal:
             assert "a" in journal and "b" in journal
             assert "c" not in journal       # torn record = uncommitted
-            outcomes = campaign_map(_identity, [10, 20, 30],
+            outcomes = parallel_map(_identity, [10, 20, 30], jobs=1,
                                     keys=["a", "b", "c"],
                                     journal=journal)
         assert [o.resumed for o in outcomes] == [True, True, False]
@@ -293,8 +456,8 @@ class TestJournal:
     def test_checkpoint_file_tracks_commits(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            campaign_map(_identity, [1, 2, 3], keys=["a", "b", "c"],
-                         journal=journal)
+            parallel_map(_identity, [1, 2, 3], jobs=1,
+                         keys=["a", "b", "c"], journal=journal)
             checkpoint = json.loads(
                 journal.checkpoint_path().read_text())
         assert checkpoint["committed"] == 3
@@ -306,62 +469,67 @@ class TestJournal:
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
             journal.ensure_meta(campaign="test")
-            campaign_map(_value_error,
+            parallel_map(_value_error,
                          [(index, str(tmp_path)) for index in range(3)],
-                         journal=journal)
+                         jobs=1, journal=journal)
         text = render_report(path)
         assert "campaign health" in text
         assert "1 unresolved run failure(s)" in text
         with CampaignJournal(tmp_path / "ok.jsonl") as journal:
-            campaign_map(_identity, [1, 2], keys=["a", "b"],
+            parallel_map(_identity, [1, 2], jobs=1, keys=["a", "b"],
                          journal=journal)
         assert "campaign healthy" in render_report(tmp_path / "ok.jsonl")
 
 
 # ----------------------------------------------------------------------
-# run_specs: the fault-tolerant run_many
+# run_many: policy, journal and typed failures at the spec level
 # ----------------------------------------------------------------------
-class TestRunSpecs:
-    def test_matches_run_many_and_memoizes(self):
+class TestRunManyCampaign:
+    def test_policy_run_matches_reference_and_memoizes(self):
         specs = small_specs()
         reference = run_many(specs, jobs=1, cache=None)
         reset_session_cache()
-        campaign = run_specs(specs, jobs=1)
-        assert campaign.ok
-        assert campaign.executed == len(specs)
-        assert stats_dicts(campaign.require_complete()) \
-            == stats_dicts(reference)
+        before = telemetry_snapshot()
+        results = run_many(specs, jobs=1, policy=CampaignPolicy(retries=1))
+        assert stats_dicts(results) == stats_dicts(reference)
+        assert telemetry_since(before)["runs"] == len(specs)
         # Second invocation is served entirely by the session cache.
-        again = run_specs(specs, jobs=1)
-        assert again.executed == 0
-        assert again.cache_hits == len(specs)
-        assert stats_dicts(again.results) == stats_dicts(reference)
+        before = telemetry_snapshot()
+        again = run_many(specs, jobs=1, policy=CampaignPolicy(retries=1))
+        delta = telemetry_since(before)
+        assert delta["runs"] == 0
+        assert delta["cache_hits"] == len(specs)
+        assert all(result.cached for result in again)
+        assert stats_dicts(again) == stats_dicts(reference)
 
     def test_resume_is_bit_identical(self, tmp_path):
         specs = small_specs()
         reference = run_many(specs, jobs=1, cache=None)
         path = tmp_path / "sweep.jsonl"
 
-        # "Interrupted" campaign: only half the specs committed.
+        # "Interrupted" batch: only half the specs committed.
         reset_session_cache()
         with CampaignJournal(path) as journal:
-            run_specs(specs[:2], jobs=1, journal=journal)
+            run_many(specs[:2], jobs=1, journal=journal)
 
         reset_session_cache()
+        before = telemetry_snapshot()
         with CampaignJournal(path) as journal:
-            resumed = run_specs(specs, jobs=1, journal=journal)
-        assert resumed.ok
-        assert resumed.executed == len(specs) - 2
-        assert resumed.resumed == 2
-        assert stats_dicts(resumed.results) == stats_dicts(reference)
+            resumed = run_many(specs, jobs=1, journal=journal)
+        delta = telemetry_since(before)
+        assert delta["runs"] == len(specs) - 2
+        assert delta["resume_skips"] == 2
+        assert stats_dicts(resumed) == stats_dicts(reference)
 
         # A third run re-executes nothing at all.
         reset_session_cache()
+        before = telemetry_snapshot()
         with CampaignJournal(path) as journal:
-            replayed = run_specs(specs, jobs=1, journal=journal)
-        assert replayed.executed == 0
-        assert replayed.resumed == len(specs)
-        assert stats_dicts(replayed.results) == stats_dicts(reference)
+            replayed = run_many(specs, jobs=1, journal=journal)
+        delta = telemetry_since(before)
+        assert delta["runs"] == 0
+        assert delta["resume_skips"] == len(specs)
+        assert stats_dicts(replayed) == stats_dicts(reference)
 
     def test_failure_is_typed_and_siblings_survive(self, monkeypatch):
         specs = small_specs()
@@ -373,15 +541,38 @@ class TestRunSpecs:
             return real(system, workload)
 
         monkeypatch.setattr(parallel, "run_workload", flaky)
-        campaign = run_specs(specs, jobs=1,
-                             policy=CampaignPolicy(retries=0))
-        assert not campaign.ok
-        assert len(campaign.failures) == 2     # canneal under each config
-        assert all(f.error_type == "ValueError" for f in campaign.failures)
-        survivors = [r for r in campaign.results if r is not None]
-        assert len(survivors) == 2
-        with pytest.raises(CampaignError, match="ValueError"):
-            campaign.require_complete()
+        with pytest.raises(CampaignError, match="ValueError") as err:
+            run_many(specs, jobs=1, policy=CampaignPolicy(retries=0))
+        failures = err.value.failures
+        assert len(failures) == 2              # canneal under each config
+        assert all(f.error_type == "ValueError" for f in failures)
+        assert all(f.attempts == 1 for f in failures)
+
+    def test_failure_names_spec_and_caches_survivors(self, monkeypatch):
+        specs = small_specs()
+        real = parallel.run_workload
+
+        def flaky(system, workload):
+            if workload.name == "canneal":
+                raise ValueError("sim bug")
+            return real(system, workload)
+
+        monkeypatch.setattr(parallel, "run_workload", flaky)
+        before = telemetry_snapshot()
+        with pytest.raises(CampaignError) as err:
+            run_many(specs, jobs=1)
+        assert "canneal" in str(err.value)
+        assert "kept in the cache" in str(err.value)
+        assert telemetry_since(before)["run_failures"] == 2
+
+        # The completed runs were published: a retry after the fix only
+        # re-executes the runs that failed.
+        monkeypatch.setattr(parallel, "run_workload", real)
+        results = run_many(specs, jobs=1)
+        assert all(result is not None for result in results)
+        delta = telemetry_since(before)
+        assert delta["runs"] == len(specs)     # 2 + the 2 retried
+        assert delta["cache_hits"] == 2
 
     def test_sweep_resume_round_trip(self, tmp_path):
         from repro.harness.sweep import Sweep
@@ -402,45 +593,6 @@ class TestRunSpecs:
         resumed = rerun.run([1], workloads, resume=path)
         for points in (first, resumed):
             assert points[0].speedups == reference[0].speedups
-
-
-# ----------------------------------------------------------------------
-# Satellite fixes in the plain parallel layer
-# ----------------------------------------------------------------------
-class TestParallelMapFailureContext:
-    def test_error_names_item_and_keeps_partial(self, tmp_path):
-        items = [(index, str(tmp_path)) for index in range(3)]
-        with pytest.raises(ParallelMapError) as err:
-            parallel_map(_value_error, items, jobs=1)
-        assert err.value.item_index == 1
-        assert err.value.error_type == "ValueError"
-        assert err.value.partial == [0, None, 4]
-
-    def test_run_many_names_spec_and_caches_survivors(self, monkeypatch):
-        specs = small_specs()
-        real = parallel.run_workload
-
-        def flaky(system, workload):
-            if workload.name == "canneal":
-                raise ValueError("sim bug")
-            return real(system, workload)
-
-        monkeypatch.setattr(parallel, "run_workload", flaky)
-        before = telemetry_snapshot()
-        with pytest.raises(ParallelMapError) as err:
-            run_many(specs, jobs=1)
-        assert "canneal" in str(err.value)
-        assert "kept in the cache" in str(err.value)
-        assert err.value.partial[0] is not None
-
-        # The completed runs were published: a retry after the fix only
-        # re-executes the runs that failed.
-        monkeypatch.setattr(parallel, "run_workload", real)
-        results = run_many(specs, jobs=1)
-        assert all(result is not None for result in results)
-        delta = telemetry_since(before)
-        assert delta["runs"] == len(specs)     # 2 + the 2 retried
-        assert delta["cache_hits"] == 2
 
 
 class TestTracePlanLaziness:
@@ -500,8 +652,8 @@ class TestCacheDroppedPuts:
 class TestOversubscription:
     def test_explicit_jobs_above_cpu_count_is_honored(self):
         want = (os.cpu_count() or 1) + 2
-        results = parallel_map(_identity, list(range(want)), jobs=want)
-        assert results == list(range(want))
+        outcomes = parallel_map(_identity, list(range(want)), jobs=want)
+        assert values_of(outcomes) == list(range(want))
         assert parallel.telemetry_snapshot()["effective_jobs"] == want
 
     def test_jobs_clamped_to_items_not_cpus(self):
