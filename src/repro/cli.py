@@ -21,6 +21,13 @@ Commands
     Without: rebuild EXPERIMENTS.md from the archived benchmark tables.
 ``simulate PATH``
     Run a saved trace bundle under a chosen protocol and print stats.
+``verify``
+    Bounded-exhaustive protocol verification of one protocol on the
+    2-core micro geometry: the modelcheck frontier, with the symmetry
+    group derived from the model, checks every transition of every
+    access sequence up to ``--depth`` and fails unless it reached that
+    depth uncapped.  ``--samples N`` replays N random sequences instead;
+    ``--kernel-diff`` runs the scalar-vs-bulk-kernel differential.
 ``modelcheck``
     Memoized bounded-exhaustive model checking: a BFS snapshot frontier
     with canonical-state dedup over the micro alphabet, across the
@@ -55,8 +62,7 @@ import os
 import sys
 
 from repro.common.config import (DirCachingPolicy, DirectoryConfig,
-                                 LLCDesign, LLCReplacement, Protocol,
-                                 scaled_socket)
+                                 LLCReplacement, Protocol, scaled_socket)
 from repro.common.errors import ConfigError
 from repro.harness import experiments
 from repro.harness.reporting import ascii_bars
@@ -156,42 +162,44 @@ def _command_verify(args) -> int:
         raise ConfigError(
             "--seed only applies to sampled exploration; add --samples "
             "N (or --kernel-diff, whose campaign is seeded)")
-    from repro.coherence.exhaustive import ExhaustiveExplorer
-    from repro.common.config import CacheGeometry, SystemConfig
+    from repro.verify import modelcheck
+    from repro.verify.models import verify_spec
 
-    def micro() -> SystemConfig:
-        base = SystemConfig(
-            n_cores=2,
-            l1i=CacheGeometry(256, 2), l1d=CacheGeometry(256, 2),
-            l2=CacheGeometry(512, 2), llc=CacheGeometry(1024, 2),
-            llc_banks=2, directory=DirectoryConfig(ratio=0.5))
-        if args.protocol == "zerodev":
-            return base.with_(
-                protocol=Protocol.ZERODEV,
-                directory=DirectoryConfig(ratio=None),
-                llc_replacement=LLCReplacement.DATA_LRU)
-        if args.protocol == "dls":
-            return base.with_(
-                protocol=Protocol.DLS,
-                directory=DirectoryConfig(ratio=None),
-                llc_design=LLCDesign.INCLUSIVE)
-        return base.with_(protocol=Protocol(args.protocol))
-
-    explorer = ExhaustiveExplorer(micro, cores=(0, 1), blocks=(0, 8, 1))
+    spec = verify_spec(args.protocol)
+    jobs = args.jobs or 1
     if args.samples:
+        from repro.coherence.exhaustive import ExhaustiveExplorer
+        explorer = ExhaustiveExplorer(
+            lambda: spec.config, cores=modelcheck.MICRO_CORES,
+            blocks=modelcheck.MICRO_BLOCKS)
         seed = args.seed if args.seed is not None else 0
         report = explorer.explore_sampled(depth=args.depth,
                                           samples=args.samples,
-                                          seed=seed,
-                                          jobs=args.jobs or 1)
+                                          seed=seed, jobs=jobs)
         print(f"{args.protocol}: sampled {report.sequences_explored:,} "
               f"of the depth-{args.depth} sequences (seed {seed}), "
               f"checked {report.states_checked:,} states")
     else:
-        report = explorer.explore(depth=args.depth)
-        print(f"{args.protocol}: explored {report.sequences_explored:,} "
-              f"sequences at depth {args.depth}, checked "
-              f"{report.states_checked:,} states")
+        # The frontier checks every transition before dedup, so a clean
+        # run to full depth covers every one of the |alphabet|^depth
+        # sequences that replay would have run.
+        report = modelcheck.explore_model(spec, args.depth, jobs=jobs,
+                                          symmetry=True)
+        counts = (f"{report.unique_states:,} unique states, "
+                  f"{report.transitions:,} transitions checked, "
+                  f"symmetry x{report.group_size}")
+        if report.ok and report.depth_reached == args.depth \
+                and not report.capped:
+            print(f"{args.protocol}: explored "
+                  f"{report.alphabet_size ** args.depth:,} sequences at "
+                  f"depth {args.depth} ({counts})")
+        else:
+            # An incomplete bounded check must not read as a pass.
+            print(f"{args.protocol}: frontier stopped at depth "
+                  f"{report.depth_reached}/{args.depth}"
+                  f"{' (capped)' if report.capped else ''} ({counts})")
+            if report.ok:
+                return 1
     if report.ok:
         print("all invariants hold")
         return 0
@@ -542,6 +550,22 @@ def _jobs_argument(value: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _at_least(minimum: int):
+    """argparse type for a count flag (``--depth``, ``--samples``): an
+    integer no smaller than ``minimum`` or a clean error."""
+    def count(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer, got {value!r}") from None
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {number}")
+        return number
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -568,15 +592,17 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="bounded-exhaustive protocol verification")
     verify.add_argument("--protocol", default="zerodev",
                         choices=[p.value for p in Protocol])
-    verify.add_argument("--depth", type=int, default=3)
-    verify.add_argument("--samples", type=int, default=0,
+    verify.add_argument("--depth", type=_at_least(1), default=3)
+    verify.add_argument("--samples", type=_at_least(0), default=0,
                         help="sample this many sequences instead of "
                              "exhausting the depth (0 = exhaustive)")
     verify.add_argument("--seed", type=int, default=None,
                         help="sampling seed (needs --samples) or "
                              "kernel-diff campaign seed (default 0)")
     verify.add_argument("--jobs", type=_jobs_argument, default=None,
-                        help="worker processes (with --samples)")
+                        help="worker processes: fork workers per "
+                             "frontier level, or per sample batch with "
+                             "--samples (default 1)")
     verify.add_argument("--kernel-diff", action="store_true",
                         help="scalar-vs-bulk-kernel bit-identity "
                              "differential over the fuzz model matrix "
@@ -602,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     modelcheck.add_argument("--models", default=None,
                             help="comma-separated model names "
                                  "(default: the whole matrix)")
-    modelcheck.add_argument("--depth", type=int, default=None,
+    modelcheck.add_argument("--depth", type=_at_least(1), default=None,
                             help="BFS depth over the micro alphabet "
                                  "(default 5; 8 with --stats)")
     modelcheck.add_argument("--blocks", default=None,

@@ -1,31 +1,35 @@
-"""Exhaustive state-space exploration of the coherence protocols.
+"""Sequence replay over the coherence protocols: the reference engine.
 
-A lightweight model checker for the simulator: systematically enumerate
-*every* access sequence up to a bounded depth over a micro configuration
-(few cores, few blocks, tiny caches) and check the full invariant set --
-SWMR, directory precision, entry-location exclusivity, data correctness
-(built into every read), and the ZeroDEV guarantee -- after every step.
+Enumerates access sequences over a micro configuration (few cores, few
+blocks, tiny caches) and replays each one on a fresh system, checking
+the system's own invariants -- SWMR, directory precision, entry-location
+exclusivity, data correctness (built into every read) -- plus an
+optional extra check.  A failing sequence is reported as its
+counterexample prefix.
 
-Unlike the randomized hypothesis tests, exploration is complete up to the
-depth bound: any protocol bug reachable within ``depth`` accesses over the
-chosen alphabet *will* be found, and the failing sequence is reported as a
-minimal counterexample prefix.
+Bounded-exhaustive checking itself runs on the memoized snapshot
+frontier of :mod:`repro.verify.modelcheck` (``repro verify`` and
+``repro modelcheck`` both use it): it checks every transition with the
+full oracle battery at O(1) work per transition and collapses
+symmetric states.  This module keeps what the frontier does not do:
 
-This mirrors how the paper's protocol extensions would be validated with
-a model checker ("Generating the rule-sets governing this protocol case
-and the related invariants requires careful consideration", Section
-III-D6) -- here the rule-set is the implementation itself.
+* :meth:`ExhaustiveExplorer.explore` -- all ``|alphabet|^depth``
+  sequences by full replay, checked after every step: the simple
+  reference the frontier is tested against;
+* :meth:`ExhaustiveExplorer.explore_sampled` and
+  :meth:`ExhaustiveExplorer.replay` -- seeded random sequences at
+  depths the frontier cannot reach (``repro verify --samples``),
+  checked at the end of each sequence, and re-running one of them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import SystemConfig
-from repro.common.errors import SimulationError
 from repro.harness.campaign import values_of
 from repro.harness.parallel import parallel_map
 from repro.harness.system_builder import build_system
@@ -61,19 +65,12 @@ class ExplorationReport:
 
 
 class ExhaustiveExplorer:
-    """Depth-bounded exhaustive exploration over an access alphabet.
+    """Sequence replay over an access alphabet.
 
     Because the simulator is deterministic, replaying a prefix always
-    reaches the same state; exploration therefore rebuilds the system
-    per sequence and replays it from scratch -- simple and
-    allocation-cheap at micro scale, but O(depth) work per sequence with
-    no sharing between sequences that differ only in their last access.
-    :mod:`repro.verify.modelcheck` supersedes this engine for deep
-    bounded-exhaustive runs: its snapshot frontier does O(1) work per
-    transition and collapses symmetric interleavings, reaching several
-    levels deeper at equal wall-clock.  This explorer remains the
-    simplest reference implementation and the engine behind
-    :meth:`explore_sampled`.
+    reaches the same state; every sequence therefore runs from scratch
+    on a fresh system -- O(depth) work per sequence and no sharing
+    between sequences, but nothing to get wrong.
     """
 
     def __init__(self, config_factory: Callable[[], SystemConfig],
@@ -119,14 +116,10 @@ class ExhaustiveExplorer:
         _, counterexample = self._evaluate(tuple(sequence))
         return counterexample
 
-    def explore(self, depth: int,
-                check_every_step: bool = True) -> ExplorationReport:
-        """Explore all sequences of exactly ``depth`` accesses.
-
-        Invariants are checked after every step of every sequence when
-        ``check_every_step`` is set (any shorter failing prefix is then
-        reported as the counterexample), otherwise only at the ends.
-        """
+    def explore(self, depth: int) -> ExplorationReport:
+        """Replay all sequences of exactly ``depth`` accesses, checking
+        invariants after every step of every sequence (any shorter
+        failing prefix is reported as the counterexample)."""
         report = ExplorationReport(depth, len(self._alphabet))
         for sequence in itertools.product(self._alphabet, repeat=depth):
             report.sequences_explored += 1
@@ -134,55 +127,13 @@ class ExhaustiveExplorer:
             for index, (core, op, block) in enumerate(sequence):
                 try:
                     system.access(core, op, block << BLOCK_SHIFT)
-                    if check_every_step:
-                        self._check(system)
-                        report.states_checked += 1
+                    self._check(system)
+                    report.states_checked += 1
                 except Exception as error:   # noqa: BLE001 - reported
                     report.counterexample = Counterexample(
                         sequence[:index + 1], error)
                     return report
-            if not check_every_step:
-                try:
-                    self._check(system)
-                    report.states_checked += 1
-                except Exception as error:   # noqa: BLE001 - reported
-                    report.counterexample = Counterexample(sequence,
-                                                           error)
-                    return report
         return report
-
-    def explore_memoized(self, depth: int, max_states: int = 250_000,
-                         budget_s: Optional[float] = None,
-                         jobs: int = 1):
-        """Explore to ``depth`` through the memoized snapshot frontier.
-
-        Same alphabet and check discipline as :meth:`explore`, but run
-        by :mod:`repro.verify.modelcheck`: symmetric interleavings
-        collapse onto one canonical state and each transition costs
-        O(1) instead of O(depth), so this reaches several levels deeper
-        at equal wall-clock.  Returns a
-        :class:`~repro.verify.modelcheck.ModelCheckReport` (``ok`` /
-        ``counterexample`` behave like :class:`ExplorationReport`).
-        """
-        from repro.verify.modelcheck import (ModelCheckReport,
-                                             _explore_frontier,
-                                             system_key)
-        config = self._config_factory()
-        report = ModelCheckReport(config.protocol.value, depth,
-                                  len(self._alphabet), jobs=jobs)
-
-        def issue(system, symbol) -> None:
-            core, op, block = symbol
-            system.access(core, op, block << BLOCK_SHIFT)
-
-        def trim(system) -> None:
-            for hier in system.cores:
-                hier.shrink_log.clear()
-
-        return _explore_frontier(
-            report, lambda: build_system(self._config_factory()),
-            issue, self._check, system_key, trim, self._alphabet,
-            depth, max_states, budget_s, jobs=jobs)
 
     def explore_sampled(self, depth: int, samples: int, seed: int = 0,
                         jobs: int = 1) -> ExplorationReport:

@@ -28,10 +28,9 @@ private-cache state, under the identical bit-identity contract
 
 from repro.kernel.batched import (ADAPT_WINDOW, SCAN_WINDOW, SlotKernel,
                                   drive_batched)
-from repro.kernel.columnar import (ColumnarSlotKernel, HierarchyColumns,
-                                   LLCColumns, VEC_MIN_RUN,
+from repro.kernel.columnar import (ColumnarSlotKernel, VEC_MIN_RUN,
                                    VEC_SCAN_WINDOW)
 
 __all__ = ["ADAPT_WINDOW", "SCAN_WINDOW", "SlotKernel",
-           "ColumnarSlotKernel", "HierarchyColumns", "LLCColumns",
-           "VEC_MIN_RUN", "VEC_SCAN_WINDOW", "drive_batched"]
+           "ColumnarSlotKernel", "VEC_MIN_RUN", "VEC_SCAN_WINDOW",
+           "drive_batched"]

@@ -45,10 +45,7 @@ membership/state columns (staleness is handled by the same epoch +
 shrink-journal machinery as the batched kernel), and ``retire_run``
 reads the live L1 set contents for the virtual prefix and writes the
 reconstructed final state back before returning -- retirement is
-atomic within a driver turn, so no scalar access can interleave.  The
-:class:`HierarchyColumns`/:class:`LLCColumns` images make the mirror
-relation testable: ``capture`` -> ``restore`` must round-trip the
-object model losslessly (property-tested in ``tests/test_columnar.py``).
+atomic within a driver turn, so no scalar access can interleave.
 
 Everything coherence-visible still issues through the scalar protocol
 in exact heap order via :func:`repro.kernel.batched.drive_batched`;
@@ -63,13 +60,11 @@ observables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from repro.caches.block import L1Line, L2Line, LLCLine, LineKind, MESI
-from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
+from repro.caches.block import L1Line, MESI
 from repro.common.addressing import BLOCK_SHIFT
 from repro.kernel.batched import SCAN_WINDOW, SlotKernel
 
@@ -90,17 +85,6 @@ VEC_SCAN_WINDOW = 4096
 #: is cheaper exactly when the prefix is short), returning to the
 #: vectorized scan once a scalar scan fills its whole window again.
 VEC_SCAN_MIN_PREFIX = 128
-
-_MESI_CODES = {MESI.M: 0, MESI.E: 1, MESI.S: 2}
-_MESI_BY_CODE = (MESI.M, MESI.E, MESI.S)
-_KIND_CODES = {LineKind.DATA: 0, LineKind.SPILLED: 1, LineKind.FUSED: 2}
-_KIND_BY_CODE = (LineKind.DATA, LineKind.SPILLED, LineKind.FUSED)
-_DIR_CODES = {DirState.ME: 0, DirState.S: 1}
-_DIR_BY_CODE = (DirState.ME, DirState.S)
-_LOC_CODES = {location: code for code, location
-              in enumerate(EntryLocation)}
-_LOC_BY_CODE = tuple(EntryLocation)
-
 
 # ----------------------------------------------------------------------
 # Exact columnar LRU classification
@@ -552,185 +536,5 @@ class ColumnarSlotKernel(SlotKernel):
                     del index[block]
 
 
-# ----------------------------------------------------------------------
-# Structure-of-arrays images (testable sync-point contract)
-# ----------------------------------------------------------------------
-@dataclass
-class CacheColumns:
-    """SoA image of one private set-associative array.
-
-    Lines are stored set-major in LRU-to-MRU order; ``offsets[s]`` /
-    ``offsets[s+1]`` delimit set ``s``.  The L1 arrays carry presence
-    only (state/version/dirty/is_code are empty); the L2 arrays carry
-    the full line record.
-    """
-
-    blocks: np.ndarray                 # int64, set-major LRU->MRU
-    offsets: np.ndarray                # int64, len == sets + 1
-    state: np.ndarray                  # int8 MESI codes (L2 only)
-    version: np.ndarray                # int64 (L2 only)
-    dirty: np.ndarray                  # bool (L2 only)
-    is_code: np.ndarray                # bool (L2 only)
-
-    @classmethod
-    def capture(cls, cache, with_state: bool) -> "CacheColumns":
-        blocks: List[int] = []
-        offsets = [0]
-        state: List[int] = []
-        version: List[int] = []
-        dirty: List[bool] = []
-        is_code: List[bool] = []
-        for set_index in range(cache.geometry.sets):
-            for line in cache.set_lines(set_index):
-                blocks.append(line.block)
-                if with_state:
-                    state.append(_MESI_CODES[line.state])
-                    version.append(line.version)
-                    dirty.append(line.dirty)
-                    is_code.append(line.is_code)
-            offsets.append(len(blocks))
-        return cls(np.asarray(blocks, dtype=np.int64),
-                   np.asarray(offsets, dtype=np.int64),
-                   np.asarray(state, dtype=np.int8),
-                   np.asarray(version, dtype=np.int64),
-                   np.asarray(dirty, dtype=bool),
-                   np.asarray(is_code, dtype=bool))
-
-    def restore(self, cache, with_state: bool) -> None:
-        for set_index in range(cache.geometry.sets):
-            begin = int(self.offsets[set_index])
-            end = int(self.offsets[set_index + 1])
-            lines = []
-            for position in range(begin, end):
-                block = int(self.blocks[position])
-                if with_state:
-                    lines.append(L2Line(
-                        block,
-                        _MESI_BY_CODE[int(self.state[position])],
-                        int(self.version[position]),
-                        dirty=bool(self.dirty[position]),
-                        is_code=bool(self.is_code[position])))
-                else:
-                    lines.append(L1Line(block))
-            cache.load_set(set_index, lines)
-
-
-@dataclass
-class HierarchyColumns:
-    """SoA image of one :class:`~repro.caches.private_cache.
-    PrivateHierarchy` (both L1s and the L2)."""
-
-    l1i: CacheColumns
-    l1d: CacheColumns
-    l2: CacheColumns
-
-    @classmethod
-    def capture(cls, hier) -> "HierarchyColumns":
-        return cls(CacheColumns.capture(hier._l1i, False),  # noqa: SLF001
-                   CacheColumns.capture(hier._l1d, False),  # noqa: SLF001
-                   CacheColumns.capture(hier._l2, True))    # noqa: SLF001
-
-    def restore(self, hier) -> None:
-        self.l1i.restore(hier._l1i, False)                  # noqa: SLF001
-        self.l1d.restore(hier._l1d, False)                  # noqa: SLF001
-        self.l2.restore(hier._l2, True)                     # noqa: SLF001
-
-
-@dataclass
-class LLCColumns:
-    """SoA image of one LLC bank, directory-entry occupancy included.
-
-    Frames are set-major in LRU-to-MRU order.  ``entry_owner`` is -1
-    for ownerless entries and for frames with no entry; the aligned
-    entry columns are only meaningful where ``has_entry`` is set.
-    """
-
-    blocks: np.ndarray                 # int64
-    offsets: np.ndarray                # int64, len == sets + 1
-    kind: np.ndarray                   # int8 LineKind codes
-    dirty: np.ndarray                  # bool
-    version: np.ndarray                # int64
-    has_entry: np.ndarray              # bool
-    entry_state: np.ndarray            # int8 DirState codes
-    entry_owner: np.ndarray            # int64, -1 == None
-    entry_sharers: np.ndarray          # int64 bit-vector
-    entry_location: np.ndarray         # int8 EntryLocation codes
-    entry_nru: np.ndarray              # bool
-
-    @classmethod
-    def capture(cls, bank) -> "LLCColumns":
-        columns = {name: [] for name in
-                   ("blocks", "kind", "dirty", "version", "has_entry",
-                    "entry_state", "entry_owner", "entry_sharers",
-                    "entry_location", "entry_nru")}
-        offsets = [0]
-        for set_index in range(bank.sets):
-            for line in bank.frames_in_set(set_index):
-                columns["blocks"].append(line.block)
-                columns["kind"].append(_KIND_CODES[line.kind])
-                columns["dirty"].append(line.dirty)
-                columns["version"].append(line.version)
-                entry = line.entry
-                columns["has_entry"].append(entry is not None)
-                columns["entry_state"].append(
-                    _DIR_CODES[entry.state] if entry else 0)
-                columns["entry_owner"].append(
-                    entry.owner if entry and entry.owner is not None
-                    else -1)
-                columns["entry_sharers"].append(
-                    entry.sharers if entry else 0)
-                columns["entry_location"].append(
-                    _LOC_CODES[entry.location] if entry else 0)
-                columns["entry_nru"].append(
-                    entry.nru_ref if entry else False)
-            offsets.append(len(columns["blocks"]))
-        return cls(np.asarray(columns["blocks"], dtype=np.int64),
-                   np.asarray(offsets, dtype=np.int64),
-                   np.asarray(columns["kind"], dtype=np.int8),
-                   np.asarray(columns["dirty"], dtype=bool),
-                   np.asarray(columns["version"], dtype=np.int64),
-                   np.asarray(columns["has_entry"], dtype=bool),
-                   np.asarray(columns["entry_state"], dtype=np.int8),
-                   np.asarray(columns["entry_owner"], dtype=np.int64),
-                   np.asarray(columns["entry_sharers"],
-                              dtype=np.int64),
-                   np.asarray(columns["entry_location"],
-                              dtype=np.int8),
-                   np.asarray(columns["entry_nru"], dtype=bool))
-
-    def restore(self, bank) -> None:
-        """Rebuild ``bank``'s frames from the columns.
-
-        Entries are reconstructed as fresh :class:`DirectoryEntry`
-        objects (field-equal, not identical): the restore seam exists
-        for differential testing and diagnostics, where the bank under
-        reconstruction owns its entries.
-        """
-        for set_index in range(bank.sets):
-            begin = int(self.offsets[set_index])
-            end = int(self.offsets[set_index + 1])
-            lines = []
-            for position in range(begin, end):
-                entry: Optional[DirectoryEntry] = None
-                if self.has_entry[position]:
-                    owner = int(self.entry_owner[position])
-                    entry = DirectoryEntry(
-                        int(self.blocks[position]),
-                        _DIR_BY_CODE[int(self.entry_state[position])],
-                        owner=None if owner < 0 else owner,
-                        sharers=int(self.entry_sharers[position]),
-                        location=_LOC_BY_CODE[
-                            int(self.entry_location[position])],
-                        nru_ref=bool(self.entry_nru[position]))
-                lines.append(LLCLine(
-                    int(self.blocks[position]),
-                    _KIND_BY_CODE[int(self.kind[position])],
-                    dirty=bool(self.dirty[position]),
-                    version=int(self.version[position]),
-                    entry=entry))
-            bank.load_set(set_index, lines)
-
-
-__all__ = ["CacheColumns", "ColumnarSlotKernel", "HierarchyColumns",
-           "LLCColumns", "VEC_MIN_RUN", "VEC_SCAN_MIN_PREFIX",
+__all__ = ["ColumnarSlotKernel", "VEC_MIN_RUN", "VEC_SCAN_MIN_PREFIX",
            "VEC_SCAN_WINDOW", "lru_hit_flags"]

@@ -1,11 +1,15 @@
 """Memoized bounded-exhaustive model checking of the protocol core.
 
-``repro verify`` (PR 3) enumerates *access sequences*: every sequence of
-depth ``d`` over the micro alphabet is replayed on a fresh system, which
-costs ``|A|^d`` full replays even though almost all of them land in
-states some other sequence already produced.  This module enumerates
-*states* instead: a BFS over (canonical system state, pending access)
-with memoized dedup.
+Sequence replay (:class:`repro.coherence.exhaustive.ExhaustiveExplorer`)
+enumerates *access sequences*: every sequence of depth ``d`` over the
+micro alphabet is replayed on a fresh system, which costs ``|A|^d``
+full replays even though almost all of them land in states some other
+sequence already produced.  This module enumerates *states* instead: a
+BFS over (canonical system state, pending access) with memoized dedup.
+It is the one bounded-exhaustive engine -- ``repro verify`` (one
+protocol on its 2-core geometry) and ``repro modelcheck`` (the model
+matrix) both run it -- and replay stays as the reference it is tested
+against.
 
 * **Snapshots.** The simulator is deterministic plain-Python state, so a
   frontier node is just ``pickle.dumps(system)``.  Expanding a node
@@ -196,8 +200,8 @@ def canonical_key(spec: ModelSpec, system, group=None) -> bytes:
 
 
 def system_key(system, multisocket: bool = False) -> bytes:
-    """:func:`canonical_key` without the spec (for callers that hold a
-    built system but no :class:`ModelSpec`, e.g. the legacy explorer)."""
+    """:func:`canonical_key` without the spec or a symmetry group (for
+    callers that hold a built system but no :class:`ModelSpec`)."""
     return _digest(system_sig(system, multisocket=multisocket))
 
 
@@ -428,8 +432,7 @@ def _explore_frontier(report: ModelCheckReport,
                       bus=None, jobs: int = 1,
                       wake: Optional[Callable] = None
                       ) -> ModelCheckReport:
-    """Generic memoized BFS shared by the spec-level entry point and
-    :meth:`ExhaustiveExplorer.explore_memoized`.
+    """Generic memoized BFS behind :func:`explore_model`.
 
     Per level: partition the frontier across ``jobs`` fork workers,
     expand each chunk independently, then merge the per-transition
@@ -804,8 +807,8 @@ def frontier_vs_replay(spec: ModelSpec, depth: int,
     """Run the frontier to ``depth``, then give per-sequence replay the
     same wall-clock and count what it covers.
 
-    The replay loop is the work ``ExhaustiveExplorer.explore`` used to
-    do -- fresh system per sequence, one access plus one invariant check
+    The replay loop is the work ``ExhaustiveExplorer.explore`` does --
+    fresh system per sequence, one access plus one invariant check
     per step, iterative deepening so shallow depths complete first.  Its
     unique-state count is measured exactly by canonicalizing every state
     it passes through (with the same symmetry group as the frontier, so

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.common.config import (CacheGeometry, DirCachingPolicy,
                                  DirectoryConfig, LLCDesign, LLCReplacement,
@@ -36,7 +36,9 @@ TRACE_CORES = 4
 
 
 def micro_config(**overrides) -> SystemConfig:
-    """The shared micro geometry (mirrors tests/test_exhaustive.py)."""
+    """The shared micro geometry of the fuzz matrix: four cores and a
+    1x directory (``verify_config`` narrows it to ``repro verify``'s
+    two cores and 8-entry directory)."""
     base = dict(
         n_cores=TRACE_CORES,
         l1i=CacheGeometry(256, 2),      # 4 blocks
@@ -50,14 +52,33 @@ def micro_config(**overrides) -> SystemConfig:
     return SystemConfig(**base)
 
 
-def zerodev_config(**overrides) -> SystemConfig:
+def verify_config(**overrides) -> SystemConfig:
+    """The ``repro verify`` geometry: the micro geometry with the micro
+    alphabet's two cores and a half-size (8-entry) directory, so
+    directory conflicts fire within three accesses."""
+    defaults = dict(n_cores=2, directory=DirectoryConfig(ratio=0.5))
+    defaults.update(overrides)
+    return micro_config(**defaults)
+
+
+def zerodev_config(geometry: Callable[..., SystemConfig] = micro_config,
+                   **overrides) -> SystemConfig:
+    """ZeroDEV with no sparse directory and dataLRU on ``geometry``."""
     defaults = dict(
         protocol=Protocol.ZERODEV,
         directory=DirectoryConfig(ratio=None),
         llc_replacement=LLCReplacement.DATA_LRU,
     )
     defaults.update(overrides)
-    return micro_config(**defaults)
+    return geometry(**defaults)
+
+
+def dls_config(geometry: Callable[..., SystemConfig] = micro_config
+               ) -> SystemConfig:
+    """DLS: no directory at all, over an inclusive LLC."""
+    return geometry(protocol=Protocol.DLS,
+                    directory=DirectoryConfig(ratio=None),
+                    llc_design=LLCDesign.INCLUSIVE)
 
 
 @dataclass(frozen=True)
@@ -109,10 +130,7 @@ def model_matrix() -> List[ModelSpec]:
         ModelSpec("mgd", micro_config(protocol=Protocol.MGD)),
         # Contender models (ROADMAP): the "no directory at all" pole and
         # the update-on-shared-write protocol.
-        ModelSpec("dls", micro_config(
-            protocol=Protocol.DLS,
-            directory=DirectoryConfig(ratio=None),
-            llc_design=LLCDesign.INCLUSIVE)),
+        ModelSpec("dls", dls_config()),
         ModelSpec("hybrid", micro_config(protocol=Protocol.HYBRID)),
     ]
     for policy in DirCachingPolicy:
@@ -136,6 +154,19 @@ def model_matrix() -> List[ModelSpec]:
             f"zerodev-2socket-sol{solution}", zerodev_config(**half),
             n_sockets=2, dir_solution=solution))
     return models
+
+
+def verify_spec(protocol: str) -> ModelSpec:
+    """The model ``repro verify --protocol`` explores, named after the
+    protocol, on the :func:`verify_config` geometry."""
+    chosen = Protocol(protocol)
+    if chosen is Protocol.ZERODEV:
+        config = zerodev_config(verify_config)
+    elif chosen is Protocol.DLS:
+        config = dls_config(verify_config)
+    else:
+        config = verify_config(protocol=chosen)
+    return ModelSpec(chosen.value, config)
 
 
 @functools.lru_cache(maxsize=1)

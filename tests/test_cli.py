@@ -1,5 +1,7 @@
 """Tests for the command-line interface and trace persistence."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,78 @@ class TestCli:
         assert main(["verify", "--protocol", "dls",
                      "--depth", "2"]) == 0
         assert "all invariants hold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--depth", "-1"],
+        ["verify", "--depth", "0"],
+        ["verify", "--samples", "-5"],
+        ["modelcheck", "--depth", "-1"],
+        ["modelcheck", "--depth", "three"],
+    ])
+    def test_invalid_depth_or_samples_rejected(self, argv, capsys):
+        # Out-of-range bounds once crashed in itertools.product or
+        # "passed" after checking nothing; now a one-line usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}:" in err and "Traceback" not in err
+
+    def test_verify_runs_on_the_modelcheck_frontier(self, capsys,
+                                                    monkeypatch):
+        from repro.coherence.exhaustive import ExhaustiveExplorer
+        from repro.verify import modelcheck
+
+        reports = []
+        explore_model = modelcheck.explore_model
+
+        def traced(*args, **kwargs):
+            reports.append(explore_model(*args, **kwargs))
+            return reports[-1]
+
+        def replay(*_args, **_kwargs):
+            raise AssertionError("replay served repro verify")
+
+        monkeypatch.setattr(modelcheck, "explore_model", traced)
+        monkeypatch.setattr(ExhaustiveExplorer, "explore", replay)
+        assert main(["verify", "--protocol", "baseline",
+                     "--depth", "2"]) == 0
+        out = capsys.readouterr().out
+        assert len(reports) == 1
+        assert reports[0].symmetry and reports[0].group_size > 1
+        assert "explored 144 sequences at depth 2" in out
+        assert f"{reports[0].unique_states:,} unique states" in out
+        assert "all invariants hold" in out
+
+    def test_verify_capped_frontier_is_not_a_pass(self, capsys,
+                                                  monkeypatch):
+        from repro.verify import modelcheck
+        monkeypatch.setattr(
+            modelcheck, "explore_model",
+            functools.partial(modelcheck.explore_model, max_states=10))
+        assert main(["verify", "--depth", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "frontier stopped at depth" in out and "(capped)" in out
+        assert "all invariants hold" not in out
+        assert "explored" not in out
+
+    def test_verify_counterexample_exits_1(self, capsys, monkeypatch):
+        from repro.verify import modelcheck
+        from repro.verify.checks import DivergenceError
+
+        def no_block_8(_spec):
+            def check(system):
+                if any(core.probe(8) is not None
+                       for core in system.cores):
+                    raise DivergenceError("block 8 cached")
+            return check
+
+        monkeypatch.setattr(modelcheck, "_spec_check", no_block_8)
+        assert main(["verify", "--protocol", "baseline",
+                     "--depth", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "COUNTEREXAMPLE: [c0:R@8] -> block 8 cached" in out
+        assert "all invariants hold" not in out
 
     def test_verify_seed_without_samples_rejected(self, capsys):
         # A silently ignored --seed looked like a varied run; it is now

@@ -1,12 +1,8 @@
-"""Property tests for the columnar kernel's SoA mirror contract.
+"""Property tests for the columnar kernel.
 
-Three layers, mirroring the module's own contract (see
+Two layers, mirroring the module's own contract (see
 ``repro/kernel/columnar.py``):
 
-* **Round-trip**: ``HierarchyColumns``/``LLCColumns`` capture -> restore
-  -> recapture must be lossless against the object model after
-  arbitrary access sequences, including ZeroDEV states (fused/spilled
-  frames, entry locations, NRU bits).
 * **Classification**: ``lru_hit_flags`` must agree with a reference
   per-set LRU replay for every ways tier the classifier special-cases
   (W == 1, W == 2, W >= 3), under arbitrary warm state.
@@ -17,49 +13,26 @@ Three layers, mirroring the module's own contract (see
   foreign scalar accesses must leave both kernels bit-identical.
 """
 
-import copy
 import random
 from collections import OrderedDict
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.caches.block import MESI
 from repro.common.addressing import BLOCK_SHIFT
 from repro.harness.system_builder import build_system
 from repro.kernel import ColumnarSlotKernel, SlotKernel
 from repro.kernel import columnar
-from repro.kernel.columnar import (HierarchyColumns, LLCColumns,
-                                   lru_hit_flags)
+from repro.kernel.columnar import lru_hit_flags
 from repro.workloads.trace import OP_BY_CODE, Op
 
-from tests.conftest import tiny_config, zerodev_config
+from tests.conftest import tiny_config
 
 PROP_SETTINGS = settings(max_examples=25, deadline=None,
                          derandomize=True)
 
 _NO_LIMIT = 1 << 62
-
-CONFIGS = {"baseline": tiny_config, "zerodev": zerodev_config}
-
-accesses_strategy = st.lists(
-    st.tuples(st.integers(0, 3),        # core
-              st.integers(0, 2),        # op code (R/W/I)
-              st.integers(0, 63)),      # block
-    max_size=150)
-
-
-def drive_raw(system, accesses):
-    for core, op_code, block in accesses:
-        system.access(core, OP_BY_CODE[op_code], block << BLOCK_SHIFT)
-
-
-def columns_equal(a, b):
-    """Field-wise ndarray equality of two columns dataclasses."""
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
-               for f in fields(a))
 
 
 def snap_hier(hier):
@@ -74,71 +47,6 @@ def snap_hier(hier):
         return out
     return (snap(hier._l1i, False), snap(hier._l1d, False),  # noqa: SLF001
             snap(hier._l2, True))                            # noqa: SLF001
-
-
-def snap_bank(bank):
-    out = []
-    for s in range(bank.sets):
-        rows = []
-        for line in bank.frames_in_set(s):
-            entry = line.entry
-            rows.append((line.block, line.kind, line.dirty, line.version,
-                        None if entry is None else
-                        (entry.state, entry.owner, entry.sharers,
-                         entry.location, entry.nru_ref)))
-        out.append(rows)
-    return out
-
-
-class TestRoundTrip:
-    """capture -> restore -> recapture is the identity (sync-point
-    contract: the columns are a lossless image of the object model)."""
-
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    @given(accesses=accesses_strategy)
-    @PROP_SETTINGS
-    def test_hierarchy_columns(self, name, accesses):
-        config = CONFIGS[name]()
-        donor = build_system(config)
-        drive_raw(donor, accesses)
-        blank = build_system(config)
-        for core in range(config.n_cores):
-            image = HierarchyColumns.capture(donor.cores[core])
-            image.restore(blank.cores[core])
-            again = HierarchyColumns.capture(blank.cores[core])
-            for level in ("l1i", "l1d", "l2"):
-                assert columns_equal(getattr(image, level),
-                                     getattr(again, level)), level
-            assert (snap_hier(blank.cores[core])
-                    == snap_hier(donor.cores[core]))
-
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    @given(accesses=accesses_strategy)
-    @PROP_SETTINGS
-    def test_llc_columns(self, name, accesses):
-        config = CONFIGS[name]()
-        donor = build_system(config)
-        drive_raw(donor, accesses)
-        blank = build_system(config)
-        for bank_index, bank in enumerate(donor.banks):
-            image = LLCColumns.capture(bank)
-            target = blank.banks[bank_index]
-            image.restore(target)
-            assert columns_equal(image, LLCColumns.capture(target))
-            assert snap_bank(target) == snap_bank(bank)
-
-    def test_l1_restore_rebuilds_lookup_index(self):
-        # The restored arrays must be *live*, not display-only: a block
-        # present in the image must hit through the normal lookup path.
-        config = tiny_config()
-        donor = build_system(config)
-        drive_raw(donor, [(0, 0, b) for b in range(8)])
-        blank = build_system(config)
-        HierarchyColumns.capture(donor.cores[0]).restore(blank.cores[0])
-        l2 = blank.cores[0]._l2                              # noqa: SLF001
-        for s in range(l2.geometry.sets):
-            for line in l2.set_lines(s):
-                assert l2._index[line.block] is line          # noqa: SLF001
 
 
 def reference_flags(stream, set_mask, ways, od_sets):

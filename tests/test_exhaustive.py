@@ -10,34 +10,17 @@ reads and writes.
 import pytest
 
 from repro.coherence.exhaustive import ExhaustiveExplorer
-from repro.common.config import (CacheGeometry, DirCachingPolicy,
-                                 DirectoryConfig, LLCDesign, LLCReplacement,
-                                 Protocol, SystemConfig)
+from repro.common.config import DirCachingPolicy, LLCDesign
+from repro.verify.models import verify_config, zerodev_config
 from repro.workloads.trace import Op
 
-
-def micro_config(**overrides) -> SystemConfig:
-    base = dict(
-        n_cores=2,
-        l1i=CacheGeometry(256, 2),     # 4 blocks
-        l1d=CacheGeometry(256, 2),
-        l2=CacheGeometry(512, 2),      # 8 blocks, 4 sets
-        llc=CacheGeometry(1024, 2),    # 16 blocks, 8 sets, tiny!
-        llc_banks=2,
-        directory=DirectoryConfig(ratio=0.5),  # 8 entries
-    )
-    base.update(overrides)
-    return SystemConfig(**base)
+#: ``repro verify``'s geometry: 2 cores, a 4-block L1, an 8-block L2,
+#: a 16-block LLC over 2 banks and an 8-entry directory.
+micro_config = verify_config
 
 
-def zerodev_micro(**overrides) -> SystemConfig:
-    defaults = dict(
-        protocol=Protocol.ZERODEV,
-        directory=DirectoryConfig(ratio=None),
-        llc_replacement=LLCReplacement.DATA_LRU,
-    )
-    defaults.update(overrides)
-    return micro_config(**defaults)
+def zerodev_micro(**overrides):
+    return zerodev_config(verify_config, **overrides)
 
 
 #: Blocks 0 and 8 share L2 set 0 and the directory set; 1 is disjoint.

@@ -5,8 +5,8 @@ Covers the frontier engine and its harness:
 * canonicalization -- symmetric interleavings collapse, latency-only
   state (stats) is excluded, soundness is preserved by checking every
   transition;
-* clean exploration across representative matrix models, plus the
-  ``explore_memoized`` bridge on the legacy explorer;
+* clean exploration across representative matrix models, and
+  agreement with the replay reference on ``repro verify``'s models;
 * counterexample prefixes that replay through ``run_trace`` and shrink
   through ``repro shrink`` exactly like fuzz divergences;
 * the mutation gate -- every seeded bug caught by modelcheck at its
@@ -22,16 +22,18 @@ import pickle
 
 import pytest
 
+from repro.coherence.exhaustive import ExhaustiveExplorer
 from repro.common.errors import ConfigError
 from repro.obs.bus import EventBus
 from repro.obs.events import EventKind
 from repro.verify import run_campaign, run_trace, shrink_trace
 from repro.verify.checks import DivergenceError, shadow_of
-from repro.verify.modelcheck import (MICRO_BLOCKS, ModelCheckReport,
-                                     _explore_frontier, build_alphabet,
-                                     canonical_key, explore_model,
-                                     frontier_vs_replay, mutation_gate)
-from repro.verify.models import model_by_name, model_matrix
+from repro.verify.modelcheck import (MICRO_BLOCKS, MICRO_CORES,
+                                     ModelCheckReport, _explore_frontier,
+                                     build_alphabet, canonical_key,
+                                     explore_model, frontier_vs_replay,
+                                     mutation_gate, system_key)
+from repro.verify.models import model_by_name, model_matrix, verify_spec
 from repro.verify.mutations import (MUTATIONS, arm_mutation,
                                     mutant_spec, reference_spec)
 from repro.verify.tracegen import FuzzTrace
@@ -290,16 +292,23 @@ class TestFrontier:
             assert event.core == partitions <= 2
             assert transitions <= frontier * len(build_alphabet())
 
-    def test_explore_memoized_bridges_legacy_explorer(self):
-        from repro.coherence.exhaustive import ExhaustiveExplorer
-        from repro.verify.models import micro_config
-        explorer = ExhaustiveExplorer(micro_config, cores=(0, 1),
-                                      blocks=MICRO_BLOCKS)
-        legacy = explorer.explore(depth=2)
-        memoized = explorer.explore_memoized(depth=3)
-        assert legacy.ok and memoized.ok
-        assert memoized.depth_reached == 3
-        assert memoized.alphabet_size == len(build_alphabet())
+
+class TestEngineAgreement:
+    """``repro verify``'s frontier against the replay reference."""
+
+    @pytest.mark.parametrize("protocol", ["zerodev", "baseline"])
+    def test_replay_and_frontier_reach_the_same_states(self, protocol):
+        spec = verify_spec(protocol)
+        reached = {system_key(spec.build())}
+        replay = ExhaustiveExplorer(
+            lambda: spec.config, cores=MICRO_CORES, blocks=MICRO_BLOCKS,
+            extra_check=lambda system: reached.add(system_key(system)))
+        assert replay.explore(depth=3).ok
+        frontier = explore_model(spec, 3)
+        assert frontier.ok and frontier.depth_reached == 3
+        # Replay checks every prefix state; so does the frontier, once
+        # per distinct state.
+        assert len(reached) == frontier.unique_states
 
 
 class TestCounterexamples:
