@@ -30,16 +30,17 @@ def ablation_replacement_disabled():
         ratio=0.125, zerodev_replacement_enabled=True))
     table = Table("Ablation: replacement-disabled vs enabled sparse "
                   "directory (ZeroDEV 1/8x)")
-    speedups, disturbances = [], {"disabled": 0, "enabled": 0}
-    for suite in ("PARSEC", "SPLASH2X"):
-        for profile in experiments.apps_of(suite):
-            workload = experiments.workload_for(profile, suite,
-                                                base_config)
-            run_disabled = experiments.run_config(disabled, workload)
-            run_enabled = experiments.run_config(enabled, workload)
-            speedups.append(run_enabled.cycles / run_disabled.cycles)
-            disturbances["disabled"] += run_disabled.stats.dir_evictions
-            disturbances["enabled"] += run_enabled.stats.dir_evictions
+    workloads = [experiments.workload_for(profile, suite, base_config)
+                 for suite in ("PARSEC", "SPLASH2X")
+                 for profile in experiments.apps_of(suite)]
+    disabled_runs, (enabled_runs,) = experiments.run_grid(
+        disabled, [enabled], workloads)
+    speedups = [run_enabled.cycles / run_disabled.cycles
+                for run_disabled, run_enabled in zip(disabled_runs,
+                                                     enabled_runs)]
+    disturbances = {
+        "disabled": sum(run.stats.dir_evictions for run in disabled_runs),
+        "enabled": sum(run.stats.dir_evictions for run in enabled_runs)}
     table.add("disabled speedup over enabled", geomean(speedups),
               note="paper: disabling is strictly better (and simpler)")
     table.add("directory evictions (disabled)",
@@ -55,18 +56,15 @@ def ablation_notice_bits_overhead():
     zdev = experiments.zerodev_config(base_config, ratio=None)
     table = Table("Ablation: E-state notice reconstruction-bit overhead")
     fractions = []
-    for suite in ("PARSEC", "CPU2017"):
-        for profile in experiments.apps_of(suite):
-            workload = experiments.workload_for(profile, suite,
-                                                base_config)
-            run = experiments.run_config(zdev, workload)
-            notices = run.stats.messages.get(
-                MessageType.EVICT_CLEAN_BITS, 0)
-            extra_bytes = notices * (
-                message_bytes(MessageType.EVICT_CLEAN_BITS)
-                - message_bytes(MessageType.EVICT_CLEAN))
-            fractions.append(extra_bytes
-                             / max(run.stats.traffic_bytes, 1))
+    for run in experiments.run_configs([
+            (zdev, experiments.workload_for(profile, suite, base_config))
+            for suite in ("PARSEC", "CPU2017")
+            for profile in experiments.apps_of(suite)]):
+        notices = run.stats.messages.get(MessageType.EVICT_CLEAN_BITS, 0)
+        extra_bytes = notices * (
+            message_bytes(MessageType.EVICT_CLEAN_BITS)
+            - message_bytes(MessageType.EVICT_CLEAN))
+        fractions.append(extra_bytes / max(run.stats.traffic_bytes, 1))
     table.add("extra traffic fraction", max(fractions), paper=0.0,
               note="paper: negligible")
     return table, {"fractions": fractions}

@@ -7,6 +7,8 @@ overhead but lengthens shared reads by one hop. This bench measures all
 three axes directly.
 """
 
+from itertools import islice
+
 from repro.common.config import DirCachingPolicy
 from repro.harness import experiments
 from repro.harness.reporting import Table
@@ -22,31 +24,32 @@ def fig12_design_space():
         "FuseAll": DirCachingPolicy.FUSE_ALL,
     }
     table = Table("Figure 12: LLC space overhead vs read critical path")
+    workloads = [experiments.workload_for(profile, suite, base_config)
+                 for suite in ("PARSEC", "SPLASH2X")
+                 for profile in experiments.apps_of(suite)]
+    runs = iter(experiments.run_configs([
+        (experiments.zerodev_config(base_config, policy=policy), workload)
+        for policy in policies.values() for workload in workloads]))
+    n = len(workloads)
     measured = {}
-    for label, policy in policies.items():
-        config = experiments.zerodev_config(base_config, policy=policy)
-        spilled = fused = penalties = forwards = runs = 0
-        for suite in ("PARSEC", "SPLASH2X"):
-            for profile in experiments.apps_of(suite):
-                workload = experiments.workload_for(profile, suite,
-                                                    base_config)
-                run = experiments.run_config(config, workload)
-                spilled += run.stats.entries_spilled
-                fused += run.stats.entries_fused
-                penalties += run.stats.extra_data_array_reads
-                forwards += run.stats.fused_read_forwards
-                runs += 1
+    for label in policies:
+        spilled = fused = penalties = forwards = 0
+        for run in islice(runs, n):
+            spilled += run.stats.entries_spilled
+            fused += run.stats.entries_fused
+            penalties += run.stats.extra_data_array_reads
+            forwards += run.stats.fused_read_forwards
         measured[label] = {
-            "spill_frames": spilled / runs,
-            "fused": fused / runs,
-            "extra_array_reads": penalties / runs,
-            "extra_hop_reads": forwards / runs,
+            "spill_frames": spilled / n,
+            "fused": fused / n,
+            "extra_array_reads": penalties / n,
+            "extra_hop_reads": forwards / n,
         }
-        table.add(f"{label} spill frames/run", spilled / runs,
+        table.add(f"{label} spill frames/run", spilled / n,
                   note="LLC space overhead axis")
-        table.add(f"{label} extra array reads/run", penalties / runs,
+        table.add(f"{label} extra array reads/run", penalties / n,
                   note="SpillAll critical-path axis")
-        table.add(f"{label} 3-hop shared reads/run", forwards / runs,
+        table.add(f"{label} 3-hop shared reads/run", forwards / n,
                   note="FuseAll critical-path axis")
     return table, measured
 

@@ -49,7 +49,7 @@ benchmarks accept `REPRO_FULL=1` / `REPRO_SCALE=1` for full-size runs.
 | Fig 6 | −2 LLC ways ≈ −3% avg; worst cases vips −14%, lu_ncb −9%, 330.art −6%, gcc.ppO2 −5% | **yes** — the named applications reproduce their sensitivities (vips −8%, lu_ncb −7%, 330.art −5%, gcc.ppO2 −1% at 14 ways; −17/−16/−10/−4% at 12) |
 | Fig 12 | SpillAll: max LLC overhead + extra array read; FPSS: overhead only; FuseAll: min overhead + extra hop | **yes** — all three axes measured, same placement of each policy |
 | Fig 17 | SpillAll worst; FPSS best minimum; FuseAll pays 3-hop shared reads | **yes** — same ordering |
-| Fig 18 | dataLRU ≥ spLRU everywhere, gap widens at half LLC | **yes** |
+| Fig 18 | dataLRU ≥ spLRU everywhere, gap widens at half LLC | **yes within 0.01** — a tie at full LLC in all five suites; at half LLC spLRU is *ahead* in all five, by 0.001–0.009 (the benchmark asserts dataLRU ≥ spLRU − 0.01 at both capacities) |
 | Fig 19–21 | ZeroDEV within 1–2% of baseline at 1x, 1/8x, **NoDir** | **yes** — within ~1% everywhere, and **zero DEVs asserted** |
 | §III-D3 | <0.5% of DRAM writes from entry eviction; <0.05% of LLC read misses hit corrupted blocks | **yes** — both ≈0 at this scale (dataLRU keeps entries resident) |
 | Fig 22 | 2x LLC: NoDir within 1%; half LLC needs a 1/4x directory | **yes** |

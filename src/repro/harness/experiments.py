@@ -9,13 +9,17 @@ pytest-benchmark and assert the qualitative *shape* (who wins, direction
 of trends) rather than absolute numbers -- the substrate is a trace-driven
 simulator, not the authors' Multi2Sim testbed (see DESIGN.md).
 
-Execution goes through :func:`repro.harness.parallel.run_many`: each
-figure assembles its full list of ``(config, workload)`` runs and issues
-them as one batch, which (a) fans out over ``REPRO_JOBS`` worker
-processes and (b) deduplicates against the session result cache, so the
-baseline runs shared by fig17-fig27 are simulated exactly once per
-session. Results are bit-identical to the serial path (the simulator is
-deterministic); every table carries run telemetry in ``Table.metadata``.
+Every comparison runs through :func:`run_grid` (or
+:func:`compare_suites`, which folds per-suite speedups on top of it): the
+reference configuration and each variant over the same workloads, laid
+out and split back by :func:`repro.harness.sweep.plan_grid` /
+:func:`~repro.harness.sweep.fold_grid` and issued as one
+:func:`repro.harness.parallel.run_many` batch, which (a) fans out over
+``REPRO_JOBS`` worker processes and (b) deduplicates against the session
+result cache, so the baseline runs shared by fig17-fig27 are simulated
+exactly once per session. Results are bit-identical to the serial path
+(the simulator is deterministic); every table carries run telemetry in
+``Table.metadata``.
 
 Scaling knobs (environment variables):
 
@@ -35,7 +39,7 @@ from __future__ import annotations
 import functools
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.config import (DirCachingPolicy, DirectoryConfig,
                                  LLCDesign, LLCReplacement, Protocol,
@@ -47,6 +51,7 @@ from repro.harness.parallel import (record_direct_run, run_many,
                                     telemetry_since, telemetry_snapshot)
 from repro.harness.reporting import Table, geomean
 from repro.harness.runner import RunResult, run_workload
+from repro.harness.sweep import fold_grid, plan_grid
 from repro.harness.system_builder import build_system
 from repro.workloads.suites import (SUITES, make_heterogeneous_mixes,
                                     make_multithreaded, make_rate_workload,
@@ -126,6 +131,7 @@ REPRESENTATIVE: Dict[str, List[str]] = {
 }
 
 MT_SUITES = ("PARSEC", "SPLASH2X", "SPECOMP", "FFTW")
+ALL_SUITES = (*MT_SUITES, "CPU2017")
 
 
 def apps_of(suite: str):
@@ -146,11 +152,6 @@ def workload_for(profile, suite: str, config: SystemConfig,
     return make_multithreaded(profile, config, n, seed=seed)
 
 
-def run_config(config: SystemConfig, workload: Workload) -> RunResult:
-    """One cached run (serial; use :func:`run_configs` to batch)."""
-    return run_many([(config, workload)], jobs=1)[0]
-
-
 def run_configs(pairs) -> List[RunResult]:
     """Run a batch of (config, workload) pairs on ``REPRO_JOBS`` workers
     through the session cache; results in request order.
@@ -162,6 +163,18 @@ def run_configs(pairs) -> List[RunResult]:
     raise, so a re-run resumes from the cache instead of starting over.
     """
     return run_many(pairs, jobs=jobs())
+
+
+def run_grid(base: SystemConfig, configs: Sequence[SystemConfig],
+             workloads: Sequence[Workload]
+             ) -> Tuple[List[RunResult], List[List[RunResult]]]:
+    """Run ``base`` and every config over ``workloads`` as one batch.
+
+    Returns ``(reference runs, [runs per config])``, each aligned with
+    ``workloads`` (see :func:`~repro.harness.sweep.plan_grid`).
+    """
+    return fold_grid(run_configs(plan_grid(base, configs, workloads)),
+                     len(configs))
 
 
 def speedup_of(base: RunResult, new: RunResult, suite: str) -> float:
@@ -186,29 +199,21 @@ def compare_suites(base_config: SystemConfig,
     Returns results[config_label][suite][app] = speedup vs base, plus
     results["_aggregates"][config_label] = summed counters (the Section
     III-D3 statistics are derived from these). All runs of all configs
-    are issued as one ``run_many`` batch.
+    are one :func:`run_grid` batch.
     """
     suites = list(suites)
-    labels = list(new_configs)
-    work = [(suite, profile,
+    work = [(suite, profile.name,
              workload_for(profile, suite, base_config, seed))
             for suite in suites for profile in apps_of(suite)]
-    pairs = [(base_config, workload) for _, _, workload in work]
-    for label in labels:
-        pairs.extend((new_configs[label], workload)
-                     for _, _, workload in work)
-    runs = run_configs(pairs)
-    base_runs = runs[:len(work)]
+    base_runs, blocks = run_grid(base_config, list(new_configs.values()),
+                                 [workload for _, _, workload in work])
     results = {label: {suite: {} for suite in suites}
-               for label in labels}
+               for label in new_configs}
     aggregates = {label: {field: 0 for field in _AGGREGATE_FIELDS}
-                  for label in labels}
-    for offset, label in enumerate(labels):
-        new_runs = runs[(offset + 1) * len(work):(offset + 2) * len(work)]
-        for (suite, profile, _), base, new in zip(work, base_runs,
-                                                  new_runs):
-            results[label][suite][profile.name] = speedup_of(
-                base, new, suite)
+                  for label in new_configs}
+    for label, new_runs in zip(new_configs, blocks):
+        for (suite, app, _), base, new in zip(work, base_runs, new_runs):
+            results[label][suite][app] = speedup_of(base, new, suite)
             for field in _AGGREGATE_FIELDS:
                 aggregates[label][field] += getattr(new.stats, field)
     results["_aggregates"] = aggregates
@@ -243,10 +248,8 @@ def fig2_unbounded_rate() -> Tuple[Table, dict]:
     profiles = apps_of("CPU2017")
     workloads = [workload_for(p, "CPU2017", base_config)
                  for p in profiles]
-    runs = run_configs([(base_config, w) for w in workloads]
-                       + [(unbounded, w) for w in workloads])
-    for profile, base, unbd in zip(profiles, runs[:len(workloads)],
-                                   runs[len(workloads):]):
+    base_runs, (unbd_runs,) = run_grid(base_config, [unbounded], workloads)
+    for profile, base, unbd in zip(profiles, base_runs, unbd_runs):
         s = speedup_of(base, unbd, "CPU2017")
         t = unbd.stats.traffic_bytes / max(base.stats.traffic_bytes, 1)
         m = (unbd.stats.core_cache_misses
@@ -276,19 +279,14 @@ def fig3_unbounded_multithreaded() -> Tuple[Table, dict]:
         directory=DirectoryConfig(unbounded=True))
     table = Table("Figure 3: unbounded vs 1x directory (multi-threaded)")
     paper = {"freqmine": 0.96}   # forwarded reads make unbounded slower
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in MT_SUITES for profile in apps_of(suite)]
-    runs = run_configs([(base_config, w) for _, _, w in work]
-                       + [(unbounded, w) for _, _, w in work])
-    all_speedups: Dict[str, List[float]] = {suite: [] for suite in
-                                            MT_SUITES}
-    for (suite, profile, _), base, unbd in zip(work, runs[:len(work)],
-                                               runs[len(work):]):
-        s = speedup_of(base, unbd, suite)
-        all_speedups[suite].append(s)
-        if suite == "PARSEC" or profile.name == "fftw":
-            table.add(f"{profile.name}.speedup", s,
-                      paper=paper.get(profile.name))
+    speedups = compare_suites(base_config, {"unbounded": unbounded},
+                              MT_SUITES)["unbounded"]
+    all_speedups = {suite: list(speedups[suite].values())
+                    for suite in MT_SUITES}
+    for suite in MT_SUITES:
+        for app, s in speedups[suite].items():
+            if suite == "PARSEC" or app == "fftw":
+                table.add(f"{app}.speedup", s, paper=paper.get(app))
     for suite in MT_SUITES:
         table.add(f"{suite}-AVG speedup", geomean(all_speedups[suite]),
                   paper=1.0, note="paper: 1x is adequate")
@@ -300,28 +298,17 @@ def fig4_directory_sizes() -> Tuple[Table, dict]:
     """Figure 4: baseline speedup versus sparse-directory size."""
     base_config = default_config()
     ratios = [0.5, 0.125, 1 / 32]
-    sized = [base_config.with_(directory=DirectoryConfig(ratio=ratio))
-             for ratio in ratios]
+    sized = {f"{ratio:.3f}x": base_config.with_(
+        directory=DirectoryConfig(ratio=ratio)) for ratio in ratios}
     table = Table("Figure 4: speedup vs directory size "
                   "(normalized to 1x)")
-    suites = list(MT_SUITES) + ["CPU2017"]
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in suites for profile in apps_of(suite)]
-    pairs = [(base_config, w) for _, _, w in work]
-    for config in sized:
-        pairs.extend((config, w) for _, _, w in work)
-    runs = run_configs(pairs)
+    speedups = compare_suites(base_config, sized, ALL_SUITES)
     results = {}
-    for si, suite in enumerate(suites):
-        indices = [i for i, (s, _, _) in enumerate(work) if s == suite]
-        per_ratio = []
-        for ri in range(len(ratios)):
-            block = runs[(ri + 1) * len(work):(ri + 2) * len(work)]
-            per_ratio.append(geomean([
-                speedup_of(runs[i], block[i], suite) for i in indices]))
-        results[suite] = per_ratio
-        for ratio, value in zip(ratios, per_ratio):
-            table.add(f"{suite} @ {ratio:.3f}x", value,
+    for suite in ALL_SUITES:
+        results[suite] = [geomean(list(speedups[label][suite].values()))
+                          for label in sized]
+        for label, value in zip(sized, results[suite]):
+            table.add(f"{suite} @ {label}", value,
                       note="paper: gradual decline below 1x")
     return table, results
 
@@ -347,7 +334,7 @@ def fig5_llc_occupancy() -> Tuple[Table, dict]:
     capacity_1x = base_config.directory_entries
     llc_blocks = base_config.llc.blocks
     results = {}
-    for suite in list(MT_SUITES) + ["CPU2017"]:
+    for suite in ALL_SUITES:
         maxima = []
         for profile in apps_of(suite):
             workload = workload_for(profile, suite, unbounded)
@@ -380,25 +367,16 @@ def fig6_llc_ways() -> Tuple[Table, dict]:
     paper_min_12way = {"PARSEC": 0.78, "SPLASH2X": 0.83, "SPECOMP": 0.86,
                       "CPU2017": 0.91}
     all_ways = (15, 14, 13, 12)
-    reduced = {ways: base_config.with_(llc=CacheGeometry(
+    reduced = {f"{ways}-way": base_config.with_(llc=CacheGeometry(
         base_config.llc.size_bytes * ways // 16, ways))
         for ways in all_ways}
-    suites = list(MT_SUITES) + ["CPU2017"]
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in suites for profile in apps_of(suite)]
-    pairs = [(base_config, w) for _, _, w in work]
-    for ways in all_ways:
-        pairs.extend((reduced[ways], w) for _, _, w in work)
-    runs = run_configs(pairs)
+    speedups = compare_suites(base_config, reduced, ALL_SUITES)
     results = {}
-    for suite in suites:
-        indices = [i for i, (s, _, _) in enumerate(work) if s == suite]
+    for suite in ALL_SUITES:
         per_ways = {}
-        for wi, ways in enumerate(all_ways):
-            block = runs[(wi + 1) * len(work):(wi + 2) * len(work)]
-            speedups = [speedup_of(runs[i], block[i], suite)
-                        for i in indices]
-            per_ways[ways] = (geomean(speedups), min(speedups))
+        for ways, label in zip(all_ways, reduced):
+            values = list(speedups[label][suite].values())
+            per_ways[ways] = (geomean(values), min(values))
         results[suite] = per_ways
         avg14, _ = per_ways[14]
         avg12, min12 = per_ways[12]
@@ -437,9 +415,8 @@ def fig17_policy_selection() -> Tuple[Table, dict]:
                   "(ZeroDEV, no directory)")
     configs = {label: zerodev_config(base_config, policy=policy)
                for label, policy in policies.items()}
-    suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
-    for suite in suites:
+    results = compare_suites(base_config, configs, ALL_SUITES)
+    for suite in ALL_SUITES:
         for label in policies:
             values = list(results[label][suite].values())
             table.add(f"{suite} {label} avg", geomean(values))
@@ -464,11 +441,10 @@ def fig18_replacement_selection() -> Tuple[Table, dict]:
                                   llc=half_llc),
         "data-half": zerodev_config(base_config, llc=half_llc),
     }
-    suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs, ALL_SUITES)
     table = Table("Figure 18: spLRU vs dataLRU (normalized to full-size "
                   "baseline)")
-    for suite in suites:
+    for suite in ALL_SUITES:
         for label in configs:
             table.add(f"{suite} {label}",
                       geomean(list(results[label][suite].values())),
@@ -543,49 +519,30 @@ def fig22_llc_capacity() -> Tuple[Table, dict]:
     base_config = default_config()
     table = Table("Figure 22: LLC capacity sensitivity (normalized to "
                   "the default-capacity baseline)")
-    suites = list(MT_SUITES) + ["CPU2017"]
-    work = [(suite, profile, workload_for(profile, suite, base_config))
-            for suite in suites for profile in apps_of(suite)]
-    variants = []
-    for label, factor in (("half", 0.5), ("double", 2.0)):
+    sizes = ("half", "double")
+    configs = {}
+    for label, factor in zip(sizes, (0.5, 2.0)):
         llc = CacheGeometry(int(base_config.llc.size_bytes * factor),
                             base_config.llc.ways)
         sized_base = base_config.with_(llc=llc)
-        variants.append((label, sized_base,
-                         zerodev_config(sized_base, ratio=None),
-                         zerodev_config(sized_base, ratio=0.25)))
-    pairs = [(base_config, w) for _, _, w in work]
-    for _, sized_base, znodir, zquarter in variants:
-        for config in (sized_base, znodir, zquarter):
-            pairs.extend((config, w) for _, _, w in work)
-    runs = run_configs(pairs)
-    references = runs[:len(work)]
+        configs[f"Base-{label}"] = sized_base
+        configs[f"ZeroDEV-NoDir-{label}"] = zerodev_config(sized_base,
+                                                           ratio=None)
+        configs[f"ZeroDEV-1/4x-{label}"] = zerodev_config(sized_base,
+                                                          ratio=0.25)
+    speedups = compare_suites(base_config, configs, ALL_SUITES)
+    variants = ("Base", "ZeroDEV-NoDir", "ZeroDEV-1/4x")
+    notes = {"ZeroDEV-NoDir": "paper: within 1% of same-size baseline "
+                              "(16MB); 4MB may need a 1/4x directory"}
     results = {}
-    block = len(work)
-    for vi, (label, _, _, _) in enumerate(variants):
-        offset = (1 + 3 * vi) * block
-        sized_runs = runs[offset:offset + block]
-        nodir_runs = runs[offset + block:offset + 2 * block]
-        quarter_runs = runs[offset + 2 * block:offset + 3 * block]
-        for suite in suites:
-            indices = [i for i, (s, _, _) in enumerate(work)
-                       if s == suite]
-            base_vals = [speedup_of(references[i], sized_runs[i], suite)
-                         for i in indices]
-            nodir_vals = [speedup_of(references[i], nodir_runs[i], suite)
-                          for i in indices]
-            quarter_vals = [speedup_of(references[i], quarter_runs[i],
-                                       suite) for i in indices]
-            results[(label, suite)] = (geomean(base_vals),
-                                       geomean(nodir_vals),
-                                       geomean(quarter_vals))
-            table.add(f"{suite} Base-{label}", geomean(base_vals))
-            table.add(f"{suite} ZeroDEV-NoDir-{label}",
-                      geomean(nodir_vals),
-                      note="paper: within 1% of same-size baseline "
-                           "(16MB); 4MB may need a 1/4x directory")
-            table.add(f"{suite} ZeroDEV-1/4x-{label}",
-                      geomean(quarter_vals))
+    for label in sizes:
+        for suite in ALL_SUITES:
+            results[(label, suite)] = tuple(
+                geomean(list(speedups[f"{variant}-{label}"][suite]
+                             .values())) for variant in variants)
+            for variant, value in zip(variants, results[(label, suite)]):
+                table.add(f"{suite} {variant}-{label}", value,
+                          note=notes.get(variant, ""))
     return table, results
 
 
@@ -607,19 +564,12 @@ def fig23_heterogeneous(n_mixes: int = 6) -> Tuple[Table, dict]:
     }
     table = Table("Figure 23: heterogeneous mixes, weighted speedup vs "
                   "baseline")
-    labels = list(configs)
-    pairs = [(base_config, mix) for mix in mixes]
-    for label in labels:
-        pairs.extend((configs[label], mix) for mix in mixes)
-    runs = run_configs(pairs)
-    base_runs = runs[:len(mixes)]
-    results = {}
-    for offset, label in enumerate(labels):
-        new_runs = runs[(offset + 1) * len(mixes):
-                        (offset + 2) * len(mixes)]
-        results[label] = [
-            weighted_speedup(base.per_core_cycles, new.per_core_cycles)
-            for base, new in zip(base_runs, new_runs)]
+    base_runs, blocks = run_grid(base_config, list(configs.values()),
+                                 mixes)
+    results = {
+        label: [weighted_speedup(base.per_core_cycles, new.per_core_cycles)
+                for base, new in zip(base_runs, new_runs)]
+        for label, new_runs in zip(configs, blocks)}
     for label, values in results.items():
         table.add(f"{label} GEOMEAN", geomean(values), paper=0.99,
                   note="paper: within 1% on average")
@@ -656,27 +606,20 @@ def fig24_server(n_cores: int = 32) -> Tuple[Table, dict]:
     }
     table = Table(f"Figure 24: server workloads ({n_cores}-core socket)")
     paper = {"SPECWeb-S": 0.986}
-    labels = list(configs)
     server_accesses = max(accesses_per_core() // 2, 1000)
     profiles = apps_of("SERVER")
     workloads = [make_server_workload(p, config, server_accesses,
                                       seed=23) for p in profiles]
-    pairs = [(config, w) for w in workloads]
-    for label in labels:
-        pairs.extend((configs[label], w) for w in workloads)
-    runs = run_configs(pairs)
-    base_runs = runs[:len(workloads)]
-    results = {label: {} for label in labels}
-    for offset, label in enumerate(labels):
-        new_runs = runs[(offset + 1) * len(workloads):
-                        (offset + 2) * len(workloads)]
+    base_runs, blocks = run_grid(config, list(configs.values()), workloads)
+    results = {label: {} for label in configs}
+    for label, new_runs in zip(configs, blocks):
         for profile, base, new in zip(profiles, base_runs, new_runs):
             s = speedup_of(base, new, "SERVER")
             results[label][profile.name] = s
             if label == "NoDir":
                 table.add(f"{profile.name} NoDir", s,
                           paper=paper.get(profile.name))
-    for label in labels:
+    for label in configs:
         table.add(f"{label} GEOMEAN",
                   geomean(list(results[label].values())), paper=0.99,
                   note="paper: within 1% avg; max slowdown 1.4%")
@@ -700,11 +643,10 @@ def fig25_epd_inclusive() -> Tuple[Table, dict]:
         "BaseIncl-1x": inclusive,
         "ZDevIncl-NoDir": zerodev_config(inclusive, ratio=None),
     }
-    suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs, ALL_SUITES)
     table = Table("Figure 25: EPD and inclusive LLCs (normalized to "
                   "non-inclusive 1x baseline)")
-    for suite in suites:
+    for suite in ALL_SUITES:
         for label in configs:
             table.add(f"{suite} {label}",
                       geomean(list(results[label][suite].values())))
@@ -744,11 +686,10 @@ def fig26_mgd() -> Tuple[Table, dict]:
         "ZDev-1/8x": zerodev_config(base_config, ratio=0.125),
         "ZDev-NoDir": zerodev_config(base_config, ratio=None),
     }
-    suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs, ALL_SUITES)
     table = Table("Figure 26: Multi-grain Directory comparison "
                   "(normalized to 1x baseline)")
-    for suite in suites:
+    for suite in ALL_SUITES:
         for label in configs:
             table.add(f"{suite} {label}",
                       geomean(list(results[label][suite].values())),
@@ -785,11 +726,10 @@ def fig27_secdir() -> Tuple[Table, dict]:
         ("CPU2017", "SecDir-1/8x"): 0.85,
         ("CPU2017", "ZDev-NoDir"): 0.98,
     }
-    suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs, ALL_SUITES)
     table = Table("Figure 27: SecDir comparison (normalized to 1x "
                   "baseline)")
-    for suite in suites:
+    for suite in ALL_SUITES:
         for label in configs:
             values = list(results[label][suite].values())
             table.add(f"{suite} {label} avg", geomean(values))
@@ -838,11 +778,10 @@ def fig_contenders() -> Tuple[Table, dict]:
         "ZDev-1/4LLC": zerodev_config(base_config, ratio=None,
                                       llc=quarter_llc),
     }
-    suites = list(MT_SUITES) + ["CPU2017"]
-    results = compare_suites(base_config, configs, suites)
+    results = compare_suites(base_config, configs, ALL_SUITES)
     table = Table("Contender study: DLS and hybrid update/invalidate "
                   "(normalized to 1x baseline)")
-    for suite in suites:
+    for suite in ALL_SUITES:
         for label in configs:
             values = list(results[label][suite].values())
             table.add(f"{suite} {label} avg", geomean(values))
@@ -879,12 +818,10 @@ def energy_comparison() -> Tuple[Table, dict]:
     table = Table("Energy: directory+LLC energy, ZeroDEV-NoDir vs "
                   "baseline")
     workloads = [workload_for(profile, suite, base_config)
-                 for suite in list(MT_SUITES) + ["CPU2017"]
-                 for profile in apps_of(suite)]
-    runs = run_configs([(base_config, w) for w in workloads]
-                       + [(znodir, w) for w in workloads])
+                 for suite in ALL_SUITES for profile in apps_of(suite)]
+    base_runs, (zdev_runs,) = run_grid(base_config, [znodir], workloads)
     ratios = []
-    for base, zdev in zip(runs[:len(workloads)], runs[len(workloads):]):
+    for base, zdev in zip(base_runs, zdev_runs):
         base_energy = estimate_energy(base_config, base.stats)
         zdev_energy = estimate_energy(znodir, zdev.stats)
         ratios.append(zdev_energy["total_j"] / base_energy["total_j"])

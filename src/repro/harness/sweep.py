@@ -1,16 +1,23 @@
-"""Generic parameter sweeps over system configurations.
+"""Generic parameter sweeps over system configurations, and the
+comparison grid every normalized result is laid out on.
+
+Every comparison in the paper's evaluation runs the same workloads under
+a reference design and a set of variant configurations. :func:`plan_grid`
+and :func:`fold_grid` own that batch layout -- the reference over every
+workload first, then each configuration over every workload -- and its
+split back into ``(reference runs, [runs per config])``. The figure
+functions (through :func:`repro.harness.experiments.run_grid`), the
+:class:`Sweep` and the job service all plan and fold through this pair.
 
 A :class:`Sweep` runs a fixed set of workloads across a family of
 configurations (one per parameter value), collecting speedups against a
 reference configuration and any requested counters. The sizing example
-and the ablation benches are built on this.
+and the service's sweep jobs are built on this.
 
 All runs go through :func:`repro.harness.parallel.run_many`: one batch
 per ``run()`` call (reference runs first, then every point), so a sweep
 parallelizes across points and workloads and shares baseline runs with
-any other harness user via the session result cache. Baselines are
-retained as cycle summaries only -- never as live systems -- so long
-sweeps do not accumulate simulator state.
+any other harness user via the session result cache.
 
 Long sweeps can run fault-tolerantly: ``run(..., resume=path)`` journals
 every completed run in a :class:`~repro.harness.campaign.CampaignJournal`
@@ -31,17 +38,24 @@ from repro.common.stats import SystemStats, weighted_speedup
 from repro.harness.campaign import CampaignJournal, CampaignPolicy
 from repro.harness.parallel import run_many
 from repro.harness.reporting import geomean
-from repro.harness.system_builder import build_system  # noqa: F401  (API)
 from repro.workloads.trace import Workload
 
 
-@dataclass(frozen=True)
-class BaselineSummary:
-    """The reference-run numbers a speedup computation needs -- nothing
-    else (a full RunResult used to pin a live CMPSystem per workload)."""
+def plan_grid(reference: SystemConfig, configs: Sequence[SystemConfig],
+              workloads: Sequence[Workload]) -> List:
+    """The comparison batch: ``reference`` over every workload, then
+    each of ``configs`` over every workload, in that order."""
+    return [(config, workload) for config in (reference, *configs)
+            for workload in workloads]
 
-    total_cycles: int
-    per_core_cycles: Tuple[int, ...]
+
+def fold_grid(results: Sequence, n_configs: int) -> Tuple[List, List[List]]:
+    """Split results aligned with :func:`plan_grid` into
+    ``(reference runs, [runs per config])``, each in workload order."""
+    width = len(results) // (n_configs + 1)
+    blocks = [list(results[i * width:(i + 1) * width])
+              for i in range(n_configs + 1)]
+    return blocks[0], blocks[1:]
 
 
 @dataclass
@@ -91,65 +105,38 @@ class Sweep:
         self._counters = tuple(counters)
         self._multiprog = multiprog
         self._jobs = jobs
-        self._baselines: Dict[str, BaselineSummary] = {}
 
-    def _run_batch(self, specs, policy, journal) -> List:
-        return run_many(specs, jobs=self._jobs, policy=policy,
-                        journal=journal)
-
-    def _ensure_baselines(self, workloads: Sequence[Workload],
-                          policy: Optional[CampaignPolicy] = None,
-                          journal: Optional[CampaignJournal] = None
-                          ) -> None:
-        missing = [w for w in workloads if w.name not in self._baselines]
-        if not missing:
-            return
-        runs = self._run_batch([(self._reference, w) for w in missing],
-                               policy, journal)
-        for workload, run in zip(missing, runs):
-            self._baselines[workload.name] = BaselineSummary(
-                run.cycles, tuple(run.per_core_cycles))
-
-    def _speedup(self, base: BaselineSummary, stats: SystemStats) -> float:
+    def _speedup(self, base, run) -> float:
         if self._multiprog:
-            return weighted_speedup(list(base.per_core_cycles),
-                                    list(stats.cycles))
-        return (base.total_cycles / stats.total_cycles
-                if stats.total_cycles else 1.0)
+            return weighted_speedup(base.per_core_cycles,
+                                    run.per_core_cycles)
+        return base.cycles / run.cycles if run.cycles else 1.0
 
     def plan_specs(self, values: Sequence[object],
                    workloads: Sequence[Workload]) -> List:
         """The full run list in a fixed, item-addressable order.
 
-        Baseline (reference) runs for every workload first, then one
-        run per (value, workload) pair. The job service executes these
-        items individually across a worker fleet and folds them back
-        with :meth:`fold_results`; duplicate runs across jobs dedupe
-        through the shared content-addressed result store.
+        The :func:`plan_grid` layout over one configuration per value.
+        The job service executes these items individually across a
+        worker fleet and folds them back with :meth:`fold_results`;
+        duplicate runs across jobs dedupe through the shared
+        content-addressed result store.
         """
-        configs = [self._config_for(value) for value in values]
-        return ([(self._reference, workload) for workload in workloads]
-                + [(config, workload) for config in configs
-                   for workload in workloads])
+        return plan_grid(self._reference,
+                         [self._config_for(value) for value in values],
+                         workloads)
 
     def fold_results(self, values: Sequence[object],
                      workloads: Sequence[Workload],
                      results: Sequence) -> List[SweepPoint]:
         """Fold results aligned with :meth:`plan_specs` into points."""
-        cursor = iter(results)
-        baselines = {}
-        for workload in workloads:
-            run = next(cursor)
-            baselines[workload.name] = BaselineSummary(
-                run.cycles, tuple(run.per_core_cycles))
+        references, blocks = fold_grid(results, len(values))
         points = []
-        for value in values:
+        for value, runs in zip(values, blocks):
             point = SweepPoint(value)
-            for workload in workloads:
-                result = next(cursor)
-                point.speedups[workload.name] = self._speedup(
-                    baselines[workload.name], result.stats)
-                point.accumulate_counters(self._counters, result.stats)
+            for workload, base, run in zip(workloads, references, runs):
+                point.speedups[workload.name] = self._speedup(base, run)
+                point.accumulate_counters(self._counters, run.stats)
             points.append(point)
         return points
 
@@ -167,24 +154,10 @@ class Sweep:
         """
         journal = None if resume is None else CampaignJournal(resume)
         try:
-            self._ensure_baselines(workloads, policy, journal)
-            configs = [self._config_for(value) for value in values]
-            runs = self._run_batch([(config, workload)
-                                    for config in configs
-                                    for workload in workloads],
-                                   policy, journal)
+            results = run_many(self.plan_specs(values, workloads),
+                               jobs=self._jobs, policy=policy,
+                               journal=journal)
         finally:
             if journal is not None:
                 journal.close()
-        points = []
-        cursor = iter(runs)
-        for value in values:
-            point = SweepPoint(value)
-            for workload in workloads:
-                result = next(cursor)
-                base = self._baselines[workload.name]
-                point.speedups[workload.name] = self._speedup(
-                    base, result.stats)
-                point.accumulate_counters(self._counters, result.stats)
-            points.append(point)
-        return points
+        return self.fold_results(values, workloads, results)

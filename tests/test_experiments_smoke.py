@@ -79,3 +79,46 @@ class TestExperimentSmoke:
         assert max(notice["fractions"]) < 0.05
         _, repl = ablation_replacement_disabled()
         assert repl["disturbances"]["disabled"] == 0
+
+
+class TestComparisonGridFigures:
+    """Result keys and shapes the benchmark asserts read, at 200 accesses
+    per core."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_scale(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ACCESSES", "200")
+
+    def test_fig2_structure(self):
+        _, results = experiments.fig2_unbounded_rate()
+        n_apps = len(experiments.apps_of("CPU2017"))
+        assert set(results) == {"speedups", "traffic", "misses"}
+        for values in results.values():
+            assert len(values) == n_apps
+            assert all(value > 0 for value in values)
+
+    def test_fig3_structure(self):
+        table, results = experiments.fig3_unbounded_multithreaded()
+        assert list(results) == list(experiments.MT_SUITES)
+        for suite, speedups in results.items():
+            assert len(speedups) == len(experiments.apps_of(suite))
+            assert all(0.5 < s < 2.0 for s in speedups)
+        labels = [row.label for row in table.rows]
+        assert "freqmine.speedup" in labels and "fftw.speedup" in labels
+
+    def test_fig22_structure(self):
+        table, results = experiments.fig22_llc_capacity()
+        assert list(results) == [(label, suite)
+                                 for label in ("half", "double")
+                                 for suite in experiments.ALL_SUITES]
+        for base, nodir, quarter in results.values():
+            assert all(0.5 < v < 2.0 for v in (base, nodir, quarter))
+        assert len(table.rows) == 3 * len(results)
+
+    def test_fig24_server_structure(self):
+        table, results = experiments.fig24_server(n_cores=8)
+        assert "8-core" in table.title
+        assert list(results) == ["1x", "1/8x", "NoDir"]
+        for per_app in results.values():
+            assert list(per_app) == experiments.REPRESENTATIVE["SERVER"]
+            assert all(0.5 < s < 2.0 for s in per_app.values())

@@ -17,7 +17,7 @@ from repro.harness.result_cache import (ResultCache, run_key,
                                         reset_session_cache,
                                         session_cache)
 from repro.harness.runner import RunResult, run_workload
-from repro.harness.sweep import BaselineSummary, Sweep
+from repro.harness.sweep import Sweep
 from repro.harness.system_builder import build_system
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
@@ -245,20 +245,53 @@ class TestRunKey:
             workload) != baseline
 
 
+def live_results(obj, seen=None):
+    """Every RunResult reachable from ``obj`` that still pins a system."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, RunResult):
+        return [obj] if obj.system is not None else []
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [live for child in children for live in live_results(child,
+                                                                seen)]
+
+
 class TestSweepBaselines:
-    def test_baselines_are_summaries_not_systems(self):
+    def make_sweep(self):
         reference = tiny_config()
-        sweep = Sweep(reference, lambda r: reference.with_(
-            directory=DirectoryConfig(ratio=r)))
-        workload = small_workload("canneal", 300)
-        points = sweep.run([1.0, 0.125], [workload])
+        return Sweep(reference, lambda r: reference.with_(
+            directory=DirectoryConfig(ratio=r)), jobs=1)
+
+    def test_run_is_one_batch(self, monkeypatch):
+        from repro.harness import sweep as sweep_module
+        batches = []
+
+        def counting(specs, **kwargs):
+            batches.append(len(specs))
+            return run_many(specs, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "run_many", counting)
+        workloads = [small_workload("canneal", 300), small_workload()]
+        points = self.make_sweep().run([0.5, 0.125], workloads)
         assert len(points) == 2
-        summary = sweep._baselines[workload.name]
-        assert isinstance(summary, BaselineSummary)
-        assert summary.total_cycles > 0
-        # Re-running reuses the summary (still exactly one entry).
-        sweep.run([0.5], [workload])
-        assert len(sweep._baselines) == 1
+        # Reference runs and every point travel in one batch.
+        assert batches == [2 + 2 * 2]
+
+    def test_sweep_holds_no_live_system(self):
+        sweep = self.make_sweep()
+        run = run_workload(build_system(tiny_config()), small_workload())
+        assert live_results([run]) == [run]      # the probe sees one
+        sweep.run([1.0, 0.125], [small_workload("canneal", 300)])
+        assert live_results(sweep) == []
 
 
 class TestRunResult:

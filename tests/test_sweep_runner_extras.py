@@ -3,9 +3,11 @@
 import pytest
 
 from repro.common.config import DirectoryConfig
+from repro.harness.parallel import telemetry_since, telemetry_snapshot
 from repro.harness.reporting import ascii_bars, traffic_breakdown
+from repro.harness.result_cache import reset_session_cache
 from repro.harness.runner import run_workload
-from repro.harness.sweep import Sweep
+from repro.harness.sweep import Sweep, fold_grid, plan_grid
 from repro.harness.system_builder import build_system
 from repro.workloads import make_multithreaded
 from repro.workloads.suites import find_profile
@@ -45,6 +47,21 @@ class TestWarmup:
         assert mesh_stats is system.stats   # references stay valid
 
 
+class TestComparisonGrid:
+    def test_reference_block_then_one_block_per_config(self):
+        specs = plan_grid("ref", ["a", "b"], ["w1", "w2"])
+        assert specs == [("ref", "w1"), ("ref", "w2"), ("a", "w1"),
+                         ("a", "w2"), ("b", "w1"), ("b", "w2")]
+        references, blocks = fold_grid(specs, 2)
+        assert references == [("ref", "w1"), ("ref", "w2")]
+        assert blocks == [[("a", "w1"), ("a", "w2")],
+                          [("b", "w1"), ("b", "w2")]]
+
+    def test_no_workloads_still_yields_a_block_per_config(self):
+        assert plan_grid("ref", ["a", "b"], []) == []
+        assert fold_grid([], 2) == ([], [[], []])
+
+
 class TestSweep:
     def test_directory_ratio_sweep(self):
         reference = tiny_config()
@@ -62,12 +79,21 @@ class TestSweep:
         assert (points[1].counters["dev_invalidations"]
                 >= points[0].counters["dev_invalidations"])
 
-    def test_baselines_cached(self):
+    def test_rerun_resimulates_no_baseline(self):
+        reset_session_cache()
         reference = tiny_config()
-        sweep = Sweep(reference, lambda r: reference)
-        workload = small_workload()
-        sweep.run([1, 2, 3], [workload])
-        assert len(sweep._baselines) == 1
+        sweep = Sweep(
+            reference,
+            lambda r: reference.with_(directory=DirectoryConfig(ratio=r)))
+        workloads = [small_workload(), small_workload("canneal", 300)]
+        sweep.run([0.5], workloads)
+        before = telemetry_snapshot()
+        points = sweep.run([0.25, 0.125], workloads)
+        delta = telemetry_since(before)
+        assert [point.value for point in points] == [0.25, 0.125]
+        # Only the new points simulate; every baseline is a cache hit.
+        assert delta["runs"] == 2 * len(workloads)
+        assert delta["cache_hits"] == len(workloads)
 
 
 class TestReportExtras:
