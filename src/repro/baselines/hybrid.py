@@ -49,10 +49,8 @@ class HybridSystem(CMPSystem):
         hier.write_hit_state(block)     # recency touch + L1D fill
         self.stats.l2_hits += 1
         self.stats.update_pushes += 1
-        latency = (self._lat.l1_hit + self._lat.l2_hit
-                   + self._push_update(core, block))
-        exposed = self._lat.store_visibility_fraction
-        return max(1, int(latency * exposed))
+        latency = self._l2_path + self._push_update(core, block)
+        return max(1, int(latency * self._store_visible))
 
     # ------------------------------------------------------------------
     def _push_update(self, writer: int, block: int) -> int:
@@ -93,8 +91,8 @@ class HybridSystem(CMPSystem):
         ``dup-update`` (:mod:`repro.verify.faults`).
         """
         self.stats.updates_sent += 1
-        to_sharer = self.mesh.send(
-            MT.UPDATE, self.mesh.core_to_bank(sharer, bank.bank_id))
+        to_sharer = self.mesh.send_core_to_bank(MT.UPDATE, sharer,
+                                                bank.bank_id)
         to_writer = self.mesh.send_core_to_core(MT.UPDATE_ACK, sharer,
                                                 writer)
         self.cores[sharer].refresh_version(block, version)

@@ -245,19 +245,18 @@ class MgDSystem(CMPSystem):
                 generated = True
                 self.stats.dev_invalidations += 1
                 self.stats.invalidations_sent += 1
-                self.mesh.send(
-                    MT.INV, self.mesh.core_to_bank(sharer, bank.bank_id))
+                self.mesh.send_core_to_bank(MT.INV, sharer, bank.bank_id)
                 line = self.cores[sharer].invalidate(
                     block, cause=InvCause.DEV)
                 assert line is not None
                 if line.state is MESI.M:
-                    self.mesh.send(MT.WRITEBACK, self.mesh.core_to_bank(
-                        sharer, bank.bank_id))
+                    self.mesh.send_core_to_bank(MT.WRITEBACK, sharer,
+                                                bank.bank_id)
                     self._install_llc_data(bank, block, line.version,
                                            dirty=True)
                 else:
-                    self.mesh.send(MT.INV_ACK, self.mesh.core_to_bank(
-                        sharer, bank.bank_id))
+                    self.mesh.send_core_to_bank(MT.INV_ACK, sharer,
+                                                bank.bank_id)
                 entry.remove_sharer(sharer)
         if generated:
             self.stats.dev_events += 1

@@ -70,9 +70,14 @@ class LineKind(enum.Enum):
     FUSED = "fused"
 
 
-@dataclass
+@dataclass(eq=False)
 class LLCLine:
-    """One LLC frame: a data block, a spilled entry, or a fused block."""
+    """One LLC frame: a data block, a spilled entry, or a fused block.
+
+    Frames compare by identity: a bank removes them from its per-set
+    LRU lists with ``list.remove``, which under field-wise equality
+    would compare every field (and the entry) of each older frame.
+    """
 
     block: int
     kind: LineKind

@@ -43,13 +43,14 @@ class LLCBank:
         self.ways = ways
         self.replacement = replacement
         self._bank_bits = n_banks.bit_length() - 1
+        self._set_mask = sets - 1
         self._frames: List[List[LLCLine]] = [[] for _ in range(sets)]
         self._data_index: Dict[int, LLCLine] = {}   # DATA or FUSED frames
         self._spill_index: Dict[int, LLCLine] = {}  # SPILLED frames
 
     # ------------------------------------------------------------------
     def set_of(self, block: int) -> int:
-        return (block >> self._bank_bits) & (self.sets - 1)
+        return (block >> self._bank_bits) & self._set_mask
 
     def _index_for(self, line: LLCLine) -> Dict[int, LLCLine]:
         if line.kind is LineKind.SPILLED:
@@ -79,7 +80,8 @@ class LLCBank:
         return line
 
     def _touch(self, line: LLCLine) -> None:
-        frames = self._frames[self.set_of(line.block)]
+        frames = self._frames[(line.block >> self._bank_bits)
+                              & self._set_mask]
         frames.remove(line)
         frames.append(line)
 
@@ -151,20 +153,23 @@ class LLCBank:
 
         The inserted line's own block is always protected from victim
         selection (its other frame may be in the same set)."""
-        index = self._index_for(line)
-        if line.block in index:
+        block = line.block
+        index = (self._spill_index if line.kind is LineKind.SPILLED
+                 else self._data_index)
+        if block in index:
             raise SimulationError(
                 f"bank {self.bank_id}: duplicate {line.kind.value} frame "
-                f"for block {line.block:#x}")
-        set_idx = self.set_of(line.block)
+                f"for block {block:#x}")
+        set_idx = (block >> self._bank_bits) & self._set_mask
+        frames = self._frames[set_idx]
         victim: Optional[LLCLine] = None
-        if self.set_full(set_idx):
+        if len(frames) >= self.ways:
             victim = self.choose_victim(
                 set_idx, protect_block if protect_block is not None
-                else line.block)
+                else block)
             self.remove(victim)
-        self._frames[set_idx].append(line)
-        index[line.block] = line
+        frames.append(line)
+        index[block] = line
         if (self.replacement is LLCReplacement.SP_LRU
                 and line.kind is not LineKind.SPILLED):
             # spLRU orders a block's spilled entry *above* the block so
@@ -185,8 +190,9 @@ class LLCBank:
         return victim
 
     def remove(self, line: LLCLine) -> None:
-        self._frames[self.set_of(line.block)].remove(line)
-        del self._index_for(line)[line.block]
+        block = line.block
+        self._frames[(block >> self._bank_bits) & self._set_mask].remove(line)
+        del self._index_for(line)[block]
 
     # ------------------------------------------------------------------
     # ZeroDEV entry management on existing frames

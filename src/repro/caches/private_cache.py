@@ -18,6 +18,11 @@ from repro.common.config import CacheGeometry
 from repro.common.errors import ProtocolInvariantError
 from repro.obs.events import EventKind
 
+#: ``read_hit_level`` results for a read served by the L1 or the L2
+#: (a core-cache miss returns None).
+L1_HIT = 1
+L2_HIT = 2
+
 
 @dataclass
 class EvictionNotice:
@@ -47,6 +52,12 @@ class PrivateHierarchy:
         self._l1i: SetAssocCache[L1Line] = SetAssocCache(l1i)
         self._l1d: SetAssocCache[L1Line] = SetAssocCache(l1d)
         self._l2: SetAssocCache[L2Line] = SetAssocCache(l2)
+        # Hit-path views: each array's per-set LRU maps and set mask
+        # (created once, mutated in place), so a hit touches recency
+        # without a call into the cache object.
+        self._l1i_sets, self._l1i_mask = self._l1i.sets, self._l1i.set_mask
+        self._l1d_sets, self._l1d_mask = self._l1d.sets, self._l1d.set_mask
+        self._l2_sets, self._l2_mask = self._l2.sets, self._l2.set_mask
         #: Safety-shrink journal for the batched kernel (repro.kernel):
         #: ``epoch`` is bumped and the affected block appended to
         #: ``shrink_log`` by every mutation that can make a previously
@@ -82,34 +93,45 @@ class PrivateHierarchy:
     # ------------------------------------------------------------------
     # Lookups from the core
     # ------------------------------------------------------------------
-    def read_hit_level(self, block: int, code: bool) -> Optional[str]:
+    def read_hit_level(self, block: int, code: bool) -> Optional[int]:
         """Service a read/ifetch locally if possible.
 
-        Returns ``"l1"`` or ``"l2"`` on a hit (filling the L1 on an L2
-        hit), or None on a core-cache miss.
+        Returns :data:`L1_HIT` or :data:`L2_HIT` on a hit (filling the
+        L1 on an L2 hit), or None on a core-cache miss.
         """
-        l1 = self._l1i if code else self._l1d
-        if l1.lookup(block) is not None:
-            self._l2.lookup(block)      # keep L2 recency in sync
-            return "l1"
-        line = self._l2.lookup(block)
-        if line is None:
+        if code:
+            l1_set = self._l1i_sets[block & self._l1i_mask]
+        else:
+            l1_set = self._l1d_sets[block & self._l1d_mask]
+        l2_set = self._l2_sets[block & self._l2_mask]
+        if block in l1_set:
+            l1_set.move_to_end(block)
+            l2_set.move_to_end(block)   # keep L2 recency in sync
+            return L1_HIT
+        if block not in l2_set:
             return None
-        l1.insert(L1Line(block))        # L1 victim needs no action
-        return "l2"
+        l2_set.move_to_end(block)
+        # L1 victim needs no action.
+        (self._l1i if code else self._l1d).insert(L1Line(block))
+        return L2_HIT
 
     def write_hit_state(self, block: int) -> Optional[MESI]:
         """Current state for a store to ``block`` (touches, fills L1D)."""
-        line = self._l2.lookup(block)
+        l2_set = self._l2_sets[block & self._l2_mask]
+        line = l2_set.get(block)
         if line is None:
             return None
-        if self._l1d.lookup(block) is None:
+        l2_set.move_to_end(block)
+        l1_set = self._l1d_sets[block & self._l1d_mask]
+        if block in l1_set:
+            l1_set.move_to_end(block)
+        else:
             self._l1d.insert(L1Line(block))
         return line.state
 
     def commit_write(self, block: int, version: int) -> None:
         """Commit a store: requires M or E; E upgrades to M silently."""
-        line = self._l2.peek(block)
+        line = self._l2_sets[block & self._l2_mask].get(block)
         if line is None or line.state is MESI.S:
             raise ProtocolInvariantError(
                 f"core {self.core} writing block {block:#x} without "
@@ -124,25 +146,26 @@ class PrivateHierarchy:
     def fill(self, block: int, state: MESI, version: int,
              code: bool) -> List[EvictionNotice]:
         """Install ``block`` after a miss; returns L2 eviction notices."""
-        if block in self._l2:
+        if block in self._l2_sets[block & self._l2_mask]:
             raise ProtocolInvariantError(
                 f"double fill of block {block:#x} in core {self.core}")
         notices: List[EvictionNotice] = []
         victim = self._l2.insert(
-            L2Line(block, state, version, dirty=state is MESI.M,
-                   is_code=code))
+            L2Line(block, state, version, state is MESI.M, code))
         if victim is not None:
+            # L2 is inclusive of both L1s: the victim leaves them first,
+            # so the fill below sees the way it frees.
+            evicted = victim.block
             self.epoch += 1
-            self.shrink_log.append(victim.block)
-            self._back_invalidate_l1(victim.block)
+            self.shrink_log.append(evicted)
+            self._l1i.remove(evicted)
+            self._l1d.remove(evicted)
             if self.obs is not None:
-                self.obs.emit(EventKind.L2_EVICT, block=victim.block,
+                self.obs.emit(EventKind.L2_EVICT, block=evicted,
                               core=self.core, cause=victim.state.name)
-            notices.append(EvictionNotice(self.core, victim.block,
-                                          victim.state, victim.version,
-                                          victim.is_code))
-        l1 = self._l1i if code else self._l1d
-        l1.insert(L1Line(block))
+            notices.append(EvictionNotice(self.core, evicted, victim.state,
+                                          victim.version, victim.is_code))
+        (self._l1i if code else self._l1d).insert(L1Line(block))
         return notices
 
     def invalidate(self, block: int, cause: str = "") -> Optional[L2Line]:
@@ -154,7 +177,8 @@ class PrivateHierarchy:
         """
         self.epoch += 1
         self.shrink_log.append(block)
-        self._back_invalidate_l1(block)
+        self._l1i.remove(block)
+        self._l1d.remove(block)
         line = self._l2.remove(block)
         if line is not None and self.obs is not None:
             self.obs.emit(EventKind.PRIV_INV, block=block,
@@ -204,8 +228,3 @@ class PrivateHierarchy:
             self.epoch += 1
             self.shrink_log.append(block)
         line.state = state
-
-    # ------------------------------------------------------------------
-    def _back_invalidate_l1(self, block: int) -> None:
-        self._l1i.remove(block)
-        self._l1d.remove(block)

@@ -31,6 +31,18 @@ class SetAssocCache(Generic[LineT]):
             OrderedDict() for _ in range(geometry.sets)]
         self._index: Dict[int, LineT] = {}
 
+    # Hit-path views for the private hierarchy: set ``block & set_mask``
+    # of ``sets`` maps the set's blocks to lines in LRU-to-MRU order.
+    # Callers may test membership, read a line and ``move_to_end`` a
+    # resident block; every other change goes through the methods.
+    @property
+    def sets(self) -> List["OrderedDict[int, LineT]"]:
+        return self._sets
+
+    @property
+    def set_mask(self) -> int:
+        return self._set_mask
+
     def __len__(self) -> int:
         return len(self._index)
 

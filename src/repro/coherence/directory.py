@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.coherence.entry import DirectoryEntry, EntryLocation
-from repro.common.addressing import set_index
 from repro.common.errors import ProtocolInvariantError, SimulationError
 from repro.obs.events import EventKind
 
@@ -41,6 +40,9 @@ class SparseDirectory:
             self.ways = ways
         self.unbounded = unbounded
         self.replacement_disabled = replacement_disabled
+        # Low-order block bits index the sets (an unbounded directory
+        # keeps no sets: everything maps to set 0).
+        self._set_mask = max(self.sets - 1, 0)
         self._sets: List[List[DirectoryEntry]] = [
             [] for _ in range(max(self.sets, 1))]
         self._index: Dict[int, DirectoryEntry] = {}
@@ -53,9 +55,7 @@ class SparseDirectory:
         return block in self._index
 
     def set_of(self, block: int) -> int:
-        if self.unbounded:
-            return 0
-        return set_index(block, self.sets)
+        return block & self._set_mask
 
     # ------------------------------------------------------------------
     def lookup(self, block: int) -> Optional[DirectoryEntry]:
@@ -73,24 +73,27 @@ class SparseDirectory:
         """True when ``block``'s set has an invalid way (or unbounded)."""
         if self.unbounded:
             return True
-        return len(self._sets[self.set_of(block)]) < self.ways
+        return len(self._sets[block & self._set_mask]) < self.ways
 
     def insert(self, entry: DirectoryEntry) -> None:
         """Install ``entry``; the caller must have made room."""
-        if entry.block in self._index:
+        block = entry.block
+        if block in self._index:
             raise ProtocolInvariantError(
-                f"duplicate directory entry for block {entry.block:#x}")
-        if not self.has_room(entry.block):
-            raise ProtocolInvariantError(
-                f"directory set {self.set_of(entry.block)} is full; "
-                "caller must evict (baseline) or overflow to LLC (ZeroDEV)")
+                f"duplicate directory entry for block {block:#x}")
+        if not self.unbounded:
+            ways = self._sets[block & self._set_mask]
+            if len(ways) >= self.ways:
+                raise ProtocolInvariantError(
+                    f"directory set {block & self._set_mask} is full; "
+                    "caller must evict (baseline) or overflow to LLC "
+                    "(ZeroDEV)")
+            ways.append(entry)
         entry.location = EntryLocation.SPARSE
         entry.nru_ref = True
-        if not self.unbounded:
-            self._sets[self.set_of(entry.block)].append(entry)
-        self._index[entry.block] = entry
+        self._index[block] = entry
         if self.obs is not None:
-            self.obs.emit(EventKind.DIR_INSERT, block=entry.block)
+            self.obs.emit(EventKind.DIR_INSERT, block=block)
 
     def choose_victim(self, block: int) -> DirectoryEntry:
         """NRU victim of ``block``'s set (baseline DEV generation).
@@ -101,7 +104,7 @@ class SparseDirectory:
         if self.unbounded or self.replacement_disabled:
             raise ProtocolInvariantError(
                 "victim requested from a directory that never evicts")
-        ways = self._sets[self.set_of(block)]
+        ways = self._sets[block & self._set_mask]
         if len(ways) < self.ways:
             raise ProtocolInvariantError(
                 "victim requested although the set has room")
@@ -119,7 +122,7 @@ class SparseDirectory:
             raise ProtocolInvariantError(
                 f"no directory entry for block {block:#x} to remove")
         if not self.unbounded:
-            self._sets[self.set_of(block)].remove(entry)
+            self._sets[block & self._set_mask].remove(entry)
         if self.obs is not None:
             self.obs.emit(EventKind.DIR_REMOVE, block=block)
         return entry

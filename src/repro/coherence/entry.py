@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import List, Optional
 
 from repro.common.errors import ProtocolInvariantError
 
@@ -33,9 +33,14 @@ class EntryLocation(enum.Enum):
     MEMORY = "memory"
 
 
-@dataclass
+@dataclass(eq=False)
 class DirectoryEntry:
-    """Coherence-tracking record for one privately cached block."""
+    """Coherence-tracking record for one privately cached block.
+
+    Entries compare by identity (each is the one record of its block);
+    the sparse directory removes them from its per-set lists with
+    ``list.remove``.
+    """
 
     block: int
     state: DirState
@@ -64,15 +69,13 @@ class DirectoryEntry:
     def is_sharer(self, core: int) -> bool:
         return bool(self.sharers >> core & 1)
 
-    def sharer_cores(self) -> Iterator[int]:
-        """Yield the cores currently holding a copy, lowest id first."""
+    def sharer_cores(self) -> List[int]:
+        """The cores currently holding a copy, lowest id first."""
         bits = self.sharers
-        core = 0
-        while bits:
-            if bits & 1:
-                yield core
-            bits >>= 1
-            core += 1
+        if not bits & (bits - 1):       # no sharer or exactly one
+            return [bits.bit_length() - 1] if bits else []
+        return [core for core in range(bits.bit_length())
+                if bits >> core & 1]
 
     def any_sharer(self, exclude: Optional[int] = None) -> int:
         """An elected sharer (FuseAll read forwarding, Section III-C3)."""

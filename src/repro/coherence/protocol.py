@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 
 from repro.caches.block import LLCLine, LineKind, MESI
 from repro.caches.llc import LLCBank
-from repro.caches.private_cache import EvictionNotice, PrivateHierarchy
+from repro.caches.private_cache import (L1_HIT, L2_HIT, EvictionNotice,
+                                        PrivateHierarchy)
 from repro.coherence.directory import SparseDirectory
 from repro.coherence.entry import DirectoryEntry, DirState, EntryLocation
 from repro.coherence.shadow import ShadowMemory
@@ -31,7 +32,7 @@ from repro.common.addressing import BLOCK_SHIFT
 from repro.common.config import LLCDesign, Protocol, SystemConfig
 from repro.common.errors import ProtocolInvariantError
 from repro.common.messages import MessageType as MT
-from repro.common.stats import SystemStats
+from repro.common.stats import BUCKET_BY_BITS, SystemStats
 from repro.dram.model import DramModel
 from repro.interconnect.mesh import Mesh
 from repro.obs.events import EventKind, InvCause
@@ -71,7 +72,16 @@ class CMPSystem:
         self.directory = self._build_directory()
         self._dram_version = {}
         self._bank_mask = config.llc_banks - 1
-        self._lat = config.latency
+        self._lat = lat = config.latency
+        # Per-access constants, hoisted out of the config objects.
+        self._l1_hit = lat.l1_hit
+        self._l2_path = lat.l1_hit + lat.l2_hit   # L1 miss, L2 lookup
+        self._home_lookup = lat.queueing + lat.llc_tag
+        self._compute = lat.compute_per_access
+        self._load_visible = lat.load_visibility_fraction
+        self._store_visible = lat.store_visibility_fraction
+        self._check_data = config.check_data
+        self._epd = config.llc_design is LLCDesign.EPD
         #: Multi-socket composition seam: when set (by MultiSocketSystem),
         #: memory-side operations route through the inter-socket layer.
         self.memory_side = None
@@ -91,15 +101,38 @@ class CMPSystem:
     # ------------------------------------------------------------------
     def access(self, core: int, op: Op, address: int) -> int:
         """Execute one memory reference; returns its core-visible latency
-        in cycles and advances the core's local clock."""
+        in cycles and advances the core's local clock.
+
+        The read path and the per-access accounting (the latency bucket
+        of ``SystemStats.record_latency``, the clock advance of
+        ``advance_core``) run inline: every access pays for them.
+        """
         block = address >> BLOCK_SHIFT
+        stats = self.stats
         if op is Op.WRITE:
             latency = self._write(core, block)
+            stats.write_latency_buckets[
+                BUCKET_BY_BITS[latency.bit_length()]] += 1
         else:
-            latency = self._read(core, block, code=op is Op.IFETCH)
-        self.stats.record_latency(op is Op.WRITE, latency)
-        self.stats.advance_core(core,
-                                latency + self._lat.compute_per_access)
+            code = op is Op.IFETCH
+            level = self.cores[core].read_hit_level(block, code)
+            if level == L1_HIT:
+                stats.l1_hits += 1
+                latency = self._l1_hit
+            elif level == L2_HIT:
+                stats.l2_hits += 1
+                latency = self._l2_path
+            else:
+                uncore, version = self._gets(core, block, code)
+                if self._check_data:
+                    self.shadow.check_read(block, version, "GETS response")
+                # The OOO window hides part of the uncore latency (MLP).
+                latency = self._l2_path + max(
+                    1, int(uncore * self._load_visible))
+            stats.read_latency_buckets[
+                BUCKET_BY_BITS[latency.bit_length()]] += 1
+        stats.cycles[core] += latency + self._compute
+        stats.accesses[core] += 1
         return latency
 
     def bank_of(self, block: int) -> LLCBank:
@@ -108,43 +141,24 @@ class CMPSystem:
     # ------------------------------------------------------------------
     # Core-side paths
     # ------------------------------------------------------------------
-    def _read(self, core: int, block: int, code: bool) -> int:
-        hier = self.cores[core]
-        level = hier.read_hit_level(block, code)
-        if level == "l1":
-            self.stats.l1_hits += 1
-            return self._lat.l1_hit
-        if level == "l2":
-            self.stats.l2_hits += 1
-            return self._lat.l1_hit + self._lat.l2_hit
-        latency, version = self._gets(core, block, code)
-        if self.config.check_data:
-            self.shadow.check_read(block, version, "GETS response")
-        # The OOO window hides part of the uncore latency (MLP).
-        exposed = max(1, int(latency
-                             * self._lat.load_visibility_fraction))
-        return self._lat.l1_hit + self._lat.l2_hit + exposed
-
     def _write(self, core: int, block: int) -> int:
         hier = self.cores[core]
         state = hier.write_hit_state(block)
-        if state is not None and state is not MESI.S:
-            # M hit, or silent E->M transition.
-            latency = self._lat.l1_hit
+        if state is None:
+            latency = self._l2_path + self._getx(core, block)
         elif state is MESI.S:
-            self.stats.l2_hits += 1
-            self.stats.upgrades += 1
-            latency = (self._lat.l1_hit + self._lat.l2_hit
-                       + self._upgrade(core, block))
+            stats = self.stats
+            stats.l2_hits += 1
+            stats.upgrades += 1
+            latency = self._l2_path + self._upgrade(core, block)
         else:
-            latency = (self._lat.l1_hit + self._lat.l2_hit
-                       + self._getx(core, block))
+            # M hit, or silent E->M transition.
+            latency = self._l1_hit
         version = self.shadow.commit_write(block)
         hier.commit_write(block, version)
         # Stores drain through the store buffer; only a fraction of the
         # miss latency is exposed on the critical path.
-        exposed = self._lat.store_visibility_fraction
-        return max(1, int(latency * exposed))
+        return max(1, int(latency * self._store_visible))
 
     # ------------------------------------------------------------------
     # GETS: read / instruction-fetch miss
@@ -153,31 +167,33 @@ class CMPSystem:
               ) -> Tuple[int, int]:
         """Service a core read miss; returns (uncore latency, version)."""
         self.stats.core_cache_misses += 1
-        bank = self.bank_of(block)
-        latency = self.mesh.send_core_to_bank(MT.GETS, core, bank.bank_id)
-        latency += self._lat.queueing + self._lat.llc_tag
+        bank_id = block & self._bank_mask
+        bank = self.banks[bank_id]
+        latency = (self.mesh.send_core_to_bank(MT.GETS, core, bank_id)
+                   + self._home_lookup)
         entry, extra = self._find_entry(block)
         latency += extra
         llc_line = bank.lookup_data(block)
 
-        if entry is not None and entry.state is DirState.ME:
+        if entry is None:
+            latency, version, entry = self._fill_from_uncore(
+                core, block, code, bank, llc_line, latency, exclusive=False)
+        elif entry.state is DirState.ME:
             if entry.owner == core:
                 raise ProtocolInvariantError(
                     f"core {core} missed on block {block:#x} it owns")
             fwd_latency, version = self._forward_gets(core, block, entry,
                                                       bank, llc_line)
             latency += fwd_latency
-        elif entry is not None:
+        else:
             serve_latency, version = self._shared_read(core, block, entry,
                                                        bank, llc_line)
             latency += serve_latency
             entry.add_sharer(core)
-        else:
-            latency, version, entry = self._fill_from_uncore(
-                core, block, code, bank, llc_line, latency, exclusive=False)
 
         state = MESI.S if (code or entry.state is DirState.S) else MESI.E
-        self._fill_private(core, block, state, version, code)
+        for notice in self.cores[core].fill(block, state, version, code):
+            self._process_notice(notice)
         return latency, version
 
     def _forward_gets(self, core: int, block: int, entry: DirectoryEntry,
@@ -193,16 +209,16 @@ class CMPSystem:
                 f"directory says core {owner} owns block {block:#x} but "
                 "it holds no copy")
         was_dirty = owner_line.state is MESI.M
-        latency = self.mesh.send(
-            MT.FWD_GETS, self.mesh.core_to_bank(owner, bank.bank_id))
+        mesh = self.mesh
+        latency = mesh.send_core_to_bank(MT.FWD_GETS, owner, bank.bank_id)
         latency += self._lat.l2_hit
-        latency += self.mesh.send_core_to_core(MT.DATA, owner, core)
+        latency += mesh.send_core_to_core(MT.DATA, owner, core)
         line = self.cores[owner].downgrade_to_s(block)
         version = line.version
         # Busy-clear back to home; dirty data is written through to the
         # LLC so the shared copy has a safe backing (off critical path).
-        self.mesh.send(MT.WRITEBACK if was_dirty else MT.BUSY_CLEAR,
-                       self.mesh.core_to_bank(owner, bank.bank_id))
+        mesh.send_core_to_bank(MT.WRITEBACK if was_dirty else MT.BUSY_CLEAR,
+                               owner, bank.bank_id)
         old_state = entry.state
         entry.make_shared()
         entry.add_sharer(core)
@@ -220,8 +236,8 @@ class CMPSystem:
             assert llc_line is not None
             self.stats.llc_data_hits += 1
             latency = penalty + self._lat.llc_data
-            latency += self.mesh.send_bank_to_core(MT.DATA, bank.bank_id,
-                                                   core)
+            latency += self.mesh.send_core_to_bank(MT.DATA, core,
+                                                   bank.bank_id)
             return latency, llc_line.version
         # Block not (usably) in the LLC: forward to an elected sharer,
         # which responds directly (three hops), and refresh the LLC copy.
@@ -234,12 +250,12 @@ class CMPSystem:
             raise ProtocolInvariantError(
                 f"directory lists core {sharer} for block {block:#x} but "
                 "it holds no copy")
-        latency = penalty + self.mesh.send(
-            MT.FWD_GETS, self.mesh.core_to_bank(sharer, bank.bank_id))
+        mesh = self.mesh
+        latency = penalty + mesh.send_core_to_bank(MT.FWD_GETS, sharer,
+                                                   bank.bank_id)
         latency += self._lat.l2_hit
-        latency += self.mesh.send_core_to_core(MT.DATA, sharer, core)
-        self.mesh.send(MT.WRITEBACK,
-                       self.mesh.core_to_bank(sharer, bank.bank_id))
+        latency += mesh.send_core_to_core(MT.DATA, sharer, core)
+        mesh.send_core_to_bank(MT.WRITEBACK, sharer, bank.bank_id)
         self._install_llc_data(bank, block, sharer_line.version,
                                dirty=sharer_line.dirty)
         return latency, sharer_line.version
@@ -250,31 +266,36 @@ class CMPSystem:
     def _getx(self, core: int, block: int) -> int:
         """Service a write miss (read-exclusive)."""
         self.stats.core_cache_misses += 1
-        bank = self.bank_of(block)
-        latency = self.mesh.send_core_to_bank(MT.GETX, core, bank.bank_id)
-        latency += self._lat.queueing + self._lat.llc_tag
+        bank_id = block & self._bank_mask
+        bank = self.banks[bank_id]
+        mesh = self.mesh
+        latency = (mesh.send_core_to_bank(MT.GETX, core, bank_id)
+                   + self._home_lookup)
         entry, extra = self._find_entry(block)
         latency += extra
         llc_line = bank.lookup_data(block)
-        if entry is not None or (llc_line is not None
-                                 and self._llc_data_usable(llc_line)):
+        if self.memory_side is not None and (
+                entry is not None or (llc_line is not None
+                                      and llc_line.kind is LineKind.DATA)):
             # The socket holds a valid copy: remote read copies (if any)
             # must be invalidated before granting ownership.
-            latency += self._acquire_socket_exclusive(block)
+            latency += self.memory_side.acquire_exclusive(self, block)
 
-        if entry is not None and entry.state is DirState.ME:
+        if entry is None:
+            latency, version, entry = self._fill_from_uncore(
+                core, block, code=False, bank=bank, llc_line=llc_line,
+                latency=latency, exclusive=True)
+        elif entry.state is DirState.ME:
             if entry.owner == core:
                 raise ProtocolInvariantError(
                     f"core {core} write-missed on block {block:#x} it owns")
             owner = entry.owner
             assert owner is not None
             self.stats.forwarded_requests += 1
-            latency += self.mesh.send(
-                MT.FWD_GETX, self.mesh.core_to_bank(owner, bank.bank_id))
+            latency += mesh.send_core_to_bank(MT.FWD_GETX, owner, bank_id)
             latency += self._lat.l2_hit
-            latency += self.mesh.send_core_to_core(MT.DATA, owner, core)
-            self.mesh.send(MT.BUSY_CLEAR,
-                           self.mesh.core_to_bank(owner, bank.bank_id))
+            latency += mesh.send_core_to_core(MT.DATA, owner, core)
+            mesh.send_core_to_bank(MT.BUSY_CLEAR, owner, bank_id)
             line = self.cores[owner].invalidate(block,
                                                 cause=InvCause.FWD_GETX)
             assert line is not None
@@ -282,7 +303,7 @@ class CMPSystem:
             old_state = entry.state
             entry.make_owned(core)
             self._entry_state_changed(entry, old_state, bank)
-        elif entry is not None:
+        else:
             # Shared block: invalidate every sharer; data from the LLC if
             # usable, else combined forward+invalidate to one sharer.
             version, inv_latency = self._invalidate_sharers(
@@ -291,34 +312,33 @@ class CMPSystem:
             old_state = entry.state
             entry.make_owned(core)
             self._entry_state_changed(entry, old_state, bank)
-        else:
-            latency, version, entry = self._fill_from_uncore(
-                core, block, code=False, bank=bank, llc_line=llc_line,
-                latency=latency, exclusive=True)
-        if self.config.check_data:
+        if self._check_data:
             self.shadow.check_read(block, version, "GETX response")
         self._block_became_owned(bank, block)
-        self._fill_private(core, block, MESI.M, version, code=False)
+        for notice in self.cores[core].fill(block, MESI.M, version, False):
+            self._process_notice(notice)
         return latency
 
     def _upgrade(self, core: int, block: int) -> int:
         """S -> M permission request; the requester keeps its data."""
-        bank = self.bank_of(block)
-        latency = self.mesh.send_core_to_bank(MT.UPGRADE, core,
-                                              bank.bank_id)
-        latency += self._lat.queueing + self._lat.llc_tag
+        bank_id = block & self._bank_mask
+        bank = self.banks[bank_id]
+        latency = (self.mesh.send_core_to_bank(MT.UPGRADE, core, bank_id)
+                   + self._home_lookup)
         entry, extra = self._find_entry(block)
         latency += extra
         if entry is None or not entry.is_sharer(core):
             raise ProtocolInvariantError(
                 f"upgrade by core {core} on block {block:#x} without a "
                 "live directory entry: a private S copy must be tracked")
-        latency += self._acquire_socket_exclusive(block)
+        if self.memory_side is not None:
+            # Remote sockets' read copies go before a local write.
+            latency += self.memory_side.acquire_exclusive(self, block)
         _, inv_latency = self._invalidate_sharers(
             core, block, entry, bank, bank.lookup_data(block),
             need_data=False)
         latency += inv_latency
-        latency += self.mesh.send_bank_to_core(MT.ACK, bank.bank_id, core)
+        latency += self.mesh.send_core_to_bank(MT.ACK, core, bank_id)
         old_state = entry.state
         entry.make_owned(core)
         self._entry_state_changed(entry, old_state, bank)
@@ -338,13 +358,13 @@ class CMPSystem:
         """
         inv_path = 0
         data_version: Optional[int] = None
+        mesh = self.mesh
         victims = [c for c in entry.sharer_cores() if c != requester]
         for sharer in victims:
             self.stats.invalidations_sent += 1
-            to_sharer = self.mesh.send(
-                MT.INV, self.mesh.core_to_bank(sharer, bank.bank_id))
-            to_requester = self.mesh.send_core_to_core(
-                MT.INV_ACK, sharer, requester)
+            to_sharer = mesh.send_core_to_bank(MT.INV, sharer, bank.bank_id)
+            to_requester = mesh.send_core_to_core(MT.INV_ACK, sharer,
+                                                  requester)
             inv_path = max(inv_path, to_sharer + self._lat.l2_hit
                            + to_requester)
             line = self.cores[sharer].invalidate(block,
@@ -354,10 +374,10 @@ class CMPSystem:
             entry.remove_sharer(sharer)
         if not need_data:
             return 0, inv_path
-        if llc_line is not None and self._llc_data_usable(llc_line):
+        if llc_line is not None and llc_line.kind is LineKind.DATA:
             self.stats.llc_data_hits += 1
-            data_path = (self._lat.llc_data + self.mesh.send_bank_to_core(
-                MT.DATA, bank.bank_id, requester))
+            data_path = (self._lat.llc_data + mesh.send_core_to_bank(
+                MT.DATA, requester, bank.bank_id))
             return llc_line.version, max(data_path, inv_path)
         if data_version is None:
             raise ProtocolInvariantError(
@@ -374,32 +394,46 @@ class CMPSystem:
                           latency: int, exclusive: bool
                           ) -> Tuple[int, int, DirectoryEntry]:
         """No live directory entry: serve from the LLC or main memory and
-        allocate a fresh entry (the DEV-generating step in the baseline)."""
-        if llc_line is not None and self._llc_data_usable(llc_line):
+        allocate a fresh entry (the DEV-generating step in the baseline).
+
+        In a multi-socket system the inter-socket layer (``memory_side``)
+        resolves a fetch (home memory, or a downgrade / invalidation of
+        remote sockets) and says whether the socket now holds the block
+        exclusively at the system level: an E grant is only legal then.
+        """
+        memory_side = self.memory_side
+        # Fused frames hold an entry over corrupted data: never usable.
+        if llc_line is not None and llc_line.kind is LineKind.DATA:
             self.stats.llc_data_hits += 1
-            latency += self._lat.llc_data
-            latency += self.mesh.send_bank_to_core(MT.DATA, bank.bank_id,
-                                                   core)
+            latency += self._lat.llc_data + self.mesh.send_core_to_bank(
+                MT.DATA, core, bank.bank_id)
             version = llc_line.version
-            if not exclusive and not code and not self._exclusive_grant_ok(
-                    block):
+            if (not exclusive and not code and memory_side is not None
+                    and not memory_side.exclusive_grant_ok(self, block)):
                 # Other sockets hold read copies: an E grant (and its
                 # silent E->M) would leave them stale -- grant S.
                 code = True
         else:
-            if llc_line is not None and llc_line.kind is not LineKind.DATA:
+            if llc_line is not None:
                 raise ProtocolInvariantError(
                     f"block {block:#x} has an LLC entry frame but no "
                     "directory entry was found")
-            self.stats.llc_data_misses += 1
+            stats = self.stats
+            stats.llc_data_misses += 1
             if not exclusive:
-                self.stats.llc_read_misses += 1
-            fetch_latency, version, exclusive_ok = self._fetch_from_memory(
-                block, exclusive)
-            latency += fetch_latency
-            latency += self.mesh.send_bank_to_core(MT.DATA, bank.bank_id,
-                                                   core)
-            self._fill_llc_from_memory(bank, block, version, code)
+                stats.llc_read_misses += 1
+            if memory_side is not None:
+                fetch_latency, version, exclusive_ok = memory_side.fetch(
+                    self, block, exclusive)
+            else:
+                fetch_latency = self._memory_fetch_latency(block)
+                version = self._dram_version.get(block, 0)
+                exclusive_ok = True
+            latency += fetch_latency + self.mesh.send_core_to_bank(
+                MT.DATA, core, bank.bank_id)
+            # Demand fills allocate in the LLC -- except data fills in EPD.
+            if code or not self._epd:
+                self._install_llc_data(bank, block, version, dirty=False)
             if not exclusive_ok:
                 # Other sockets hold read copies: only an S grant is
                 # legal (a silent E->M would break socket-level MESI).
@@ -407,7 +441,7 @@ class CMPSystem:
         state = DirState.S if code else DirState.ME
         owner = None if code else core
         entry = self._allocate_entry(block, state, core, owner, bank)
-        if not code and self.config.llc_design is LLCDesign.EPD:
+        if not code and self._epd:
             # The block is now temporarily private: EPD de-allocates it.
             self._epd_deallocate(bank, block)
         return latency, version, entry
@@ -416,65 +450,20 @@ class CMPSystem:
         """DRAM read for a demand fill (overridden for corrupted blocks)."""
         return self.dram.read(block)
 
-    def _fetch_from_memory(self, block: int, exclusive: bool):
-        """Fetch a block the socket does not have.
-
-        Returns (latency, version, exclusive_ok): ``exclusive_ok`` tells
-        whether the socket now holds the block exclusively at the system
-        level (an E grant is only legal then). Locally this is a DRAM
-        read; in a multi-socket system the inter-socket layer resolves it
-        (home memory, or a downgrade / invalidation of remote sockets).
-        """
-        if self.memory_side is not None:
-            return self.memory_side.fetch(self, block, exclusive)
-        return (self._memory_fetch_latency(block),
-                self._dram_version.get(block, 0), True)
-
-    def _exclusive_grant_ok(self, block: int) -> bool:
-        """May a local fill be granted E? Only when no other socket holds
-        a copy (always true in a single-socket system)."""
-        if self.memory_side is not None:
-            return self.memory_side.exclusive_grant_ok(self, block)
-        return True
-
-    def _acquire_socket_exclusive(self, block: int) -> int:
-        """Invalidate remote sockets' read copies before a local write.
-
-        Only reachable when this socket already holds a valid copy, which
-        rules out a remote owner -- at most remote S sharers exist.
-        Returns the added critical-path latency (0 in a single socket).
-        """
-        if self.memory_side is not None:
-            return self.memory_side.acquire_exclusive(self, block)
-        return 0
-
     def _presence_lost(self, block: int, version: int) -> None:
         """The last copy of ``block`` left this socket (notify home)."""
         if self.memory_side is not None:
             self.memory_side.presence_lost(self, block, version)
 
-    def _fill_llc_from_memory(self, bank: LLCBank, block: int,
-                              version: int, code: bool) -> None:
-        """Demand fills allocate in the LLC -- except data fills in EPD."""
-        if self.config.llc_design is LLCDesign.EPD and not code:
-            return
-        self._install_llc_data(bank, block, version, dirty=False)
-
     # ------------------------------------------------------------------
     # LLC management
     # ------------------------------------------------------------------
-    def _llc_data_usable(self, llc_line: LLCLine) -> bool:
-        """Can this frame supply data? Fused frames are corrupted."""
-        return llc_line.kind is LineKind.DATA
-
     def _llc_serves_shared_read(self, entry: DirectoryEntry,
                                 llc_line: Optional[LLCLine],
                                 bank: LLCBank) -> Tuple[bool, int]:
         """Hook: can the LLC serve a read to this shared block, and at
         what extra critical-path cost? (ZeroDEV policies override.)"""
-        if llc_line is None or not self._llc_data_usable(llc_line):
-            return False, 0
-        return True, 0
+        return llc_line is not None and llc_line.kind is LineKind.DATA, 0
 
     def _install_llc_data(self, bank: LLCBank, block: int, version: int,
                           dirty: bool) -> None:
@@ -486,8 +475,7 @@ class CMPSystem:
             if line.kind is LineKind.FUSED:
                 self._data_arrived_at_fused(bank, line)
             return
-        victim = bank.insert(LLCLine(block, LineKind.DATA, dirty=dirty,
-                                     version=version))
+        victim = bank.insert(LLCLine(block, LineKind.DATA, dirty, version))
         if victim is not None:
             self._handle_llc_victim(bank, victim)
         self._data_allocated(bank, block)
@@ -510,7 +498,7 @@ class CMPSystem:
     def _block_became_owned(self, bank: LLCBank, block: int) -> None:
         """Hook called when a block transitions to M/E (EPD de-allocates;
         ZeroDEV FPSS re-locates a spilled entry into fused form)."""
-        if self.config.llc_design is LLCDesign.EPD:
+        if self._epd:
             self._epd_deallocate(bank, block)
 
     def _data_arrived_at_fused(self, bank: LLCBank, line: LLCLine) -> None:
@@ -554,12 +542,11 @@ class CMPSystem:
         entry, _ = self._find_entry(victim.block)
         if entry is None:
             return
+        mesh = self.mesh
         for sharer in list(entry.sharer_cores()):
             self.stats.inclusion_invalidations += 1
-            self.mesh.send(MT.INV,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
-            self.mesh.send(MT.INV_ACK,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
+            mesh.send_core_to_bank(MT.INV, sharer, bank.bank_id)
+            mesh.send_core_to_bank(MT.INV_ACK, sharer, bank.bank_id)
             line = self.cores[sharer].invalidate(victim.block,
                                                  cause=InvCause.INCLUSION)
             assert line is not None
@@ -588,28 +575,32 @@ class CMPSystem:
                         ) -> DirectoryEntry:
         """Allocate a fresh entry, evicting an NRU victim if the set is
         full -- the step that manufactures DEVs in the baseline."""
-        assert self.directory is not None
+        directory = self.directory
+        assert directory is not None
         self.stats.dir_allocations += 1
-        if not self.directory.has_room(block):
-            victim = self.directory.choose_victim(block)
-            self.directory.remove(victim.block)
+        if not directory.has_room(block):
+            victim = directory.choose_victim(block)
+            directory.remove(victim.block)
             self._process_dev(victim)
-        entry = DirectoryEntry(block, state, owner=owner,
-                               sharers=1 << requester)
-        self.directory.insert(entry)
+        entry = DirectoryEntry(block, state, owner, 1 << requester)
+        directory.insert(entry)
         return entry
 
     def _process_dev(self, victim: DirectoryEntry) -> None:
         """Invalidate every private copy the evicted entry was tracking."""
-        self.stats.dir_evictions += 1
+        stats = self.stats
+        mesh = self.mesh
+        block = victim.block
+        stats.dir_evictions += 1
         if self.obs is not None:
-            self.obs.emit(EventKind.DIR_EVICT, block=victim.block,
+            self.obs.emit(EventKind.DIR_EVICT, block=block,
                           cause=InvCause.DEV)
-        bank = self.bank_of(victim.block)
+        bank_id = block & self._bank_mask
+        bank = self.banks[bank_id]
         generated = False
         last_version = 0
         leak_one = "dev-leak-sharer" in self.mutations
-        for sharer in list(victim.sharer_cores()):
+        for sharer in victim.sharer_cores():
             if leak_one:
                 # Seeded bug: the home drops the first sharer from the
                 # entry without sending its invalidation, leaving a
@@ -618,30 +609,26 @@ class CMPSystem:
                 victim.remove_sharer(sharer)
                 continue
             generated = True
-            self.stats.dev_invalidations += 1
-            self.stats.invalidations_sent += 1
-            self.mesh.send(MT.INV,
-                           self.mesh.core_to_bank(sharer, bank.bank_id))
-            line = self.cores[sharer].invalidate(victim.block,
-                                                 cause=InvCause.DEV)
+            stats.dev_invalidations += 1
+            stats.invalidations_sent += 1
+            mesh.send_core_to_bank(MT.INV, sharer, bank_id)
+            line = self.cores[sharer].invalidate(block, cause=InvCause.DEV)
             assert line is not None
             last_version = line.version
             if line.state is MESI.M:
                 # The dirty block is retrieved into the LLC (Section I-A1:
                 # "dirty blocks were retrieved from the owner cores as
                 # DEVs due to directory entry eviction").
-                self.mesh.send(MT.WRITEBACK,
-                               self.mesh.core_to_bank(sharer, bank.bank_id))
-                self._install_llc_data(bank, victim.block, line.version,
+                mesh.send_core_to_bank(MT.WRITEBACK, sharer, bank_id)
+                self._install_llc_data(bank, block, line.version,
                                        dirty=True)
             else:
-                self.mesh.send(MT.INV_ACK,
-                               self.mesh.core_to_bank(sharer, bank.bank_id))
+                mesh.send_core_to_bank(MT.INV_ACK, sharer, bank_id)
             victim.remove_sharer(sharer)
         if generated:
-            self.stats.dev_events += 1
-            if bank.peek_data(victim.block) is None:
-                self._presence_lost(victim.block, last_version)
+            stats.dev_events += 1
+            if bank.peek_data(block) is None:
+                self._presence_lost(block, last_version)
 
     def _free_entry(self, entry: DirectoryEntry, bank: LLCBank,
                     evictor_version: int = 0,
@@ -660,31 +647,22 @@ class CMPSystem:
     # ------------------------------------------------------------------
     # Private-cache eviction notices
     # ------------------------------------------------------------------
-    def _fill_private(self, core: int, block: int, state: MESI,
-                      version: int, code: bool) -> None:
-        notices = self.cores[core].fill(block, state, version, code)
-        for notice in notices:
-            self._process_notice(notice)
-
     def _process_notice(self, notice: EvictionNotice) -> None:
         """Handle one private-hierarchy eviction notice at the home."""
         block = notice.block
-        bank = self.bank_of(block)
+        bank_id = block & self._bank_mask
+        bank = self.banks[bank_id]
         entry = self._find_entry_for_notice(block, bank)
         if entry is None:
             self._notice_without_entry(notice, bank)
             return
         if notice.state is MESI.M:
-            self.mesh.send(MT.WRITEBACK,
-                           self.mesh.core_to_bank(notice.core,
-                                                  bank.bank_id))
+            self.mesh.send_core_to_bank(MT.WRITEBACK, notice.core, bank_id)
             self._install_llc_data(bank, block, notice.version, dirty=True)
         else:
-            kind = self._clean_notice_kind(notice)
-            self.mesh.send(kind, self.mesh.core_to_bank(notice.core,
-                                                        bank.bank_id))
-            if (notice.state is MESI.E
-                    and self.config.llc_design is LLCDesign.EPD):
+            self.mesh.send_core_to_bank(self._clean_notice_kind(notice),
+                                        notice.core, bank_id)
+            if notice.state is MESI.E and self._epd:
                 # EPD allocates the block in the LLC when it is evicted
                 # from the owner core's private hierarchy (Section III-E).
                 self._install_llc_data(bank, block, notice.version,

@@ -15,6 +15,7 @@ up to one extra byte.
 from __future__ import annotations
 
 import enum
+from typing import Dict
 
 from repro.common.addressing import BLOCK_BYTES
 
@@ -70,8 +71,18 @@ class MessageType(enum.Enum):
     SOCKET_EVICT = enum.auto()     # last in-socket copy evicted notice
     SOCKET_RESTORE = enum.auto()   # block retrieved to heal corrupted memory
 
+    # Members are singletons compared by identity, so the identity hash
+    # is as good as Enum's name hash -- and it runs in C, which keeps the
+    # per-message dict updates (``SystemStats.messages``,
+    # ``MESSAGE_BYTES``) free of a Python-level ``__hash__`` call.
+    __hash__ = object.__hash__
 
-_DATA_CARRYING = {
+
+#: Interconnect payload size of one message of each type: an 8-byte
+#: control flit, plus the 64-byte block for data-carrying messages.
+MESSAGE_BYTES: Dict[MessageType, int] = dict.fromkeys(MessageType,
+                                                      CTRL_BYTES)
+MESSAGE_BYTES.update(dict.fromkeys((
     MessageType.DATA,
     MessageType.DATA_EXCLUSIVE,
     MessageType.WRITEBACK,
@@ -82,19 +93,12 @@ _DATA_CARRYING = {
     MessageType.SOCKET_DATA,
     MessageType.SOCKET_DATA_CORRUPTED,
     MessageType.SOCKET_RESTORE,
-}
-
-_CTRL_PLUS_ONE = {
-    # E-state eviction notice carrying 3 + ceil(log2 N) reconstruction bits
-    # (Section III-C2) -- rounded up to one byte.
-    MessageType.EVICT_CLEAN_BITS,
-}
+), DATA_BYTES))
+# E-state eviction notice carrying 3 + ceil(log2 N) reconstruction bits
+# (Section III-C2) -- rounded up to one byte.
+MESSAGE_BYTES[MessageType.EVICT_CLEAN_BITS] = CTRL_BYTES + 1
 
 
 def message_bytes(kind: MessageType) -> int:
     """Interconnect payload size of one message of type ``kind``."""
-    if kind in _DATA_CARRYING:
-        return DATA_BYTES
-    if kind in _CTRL_PLUS_ONE:
-        return CTRL_BYTES + 1
-    return CTRL_BYTES
+    return MESSAGE_BYTES[kind]

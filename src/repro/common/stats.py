@@ -12,7 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.common.messages import MessageType, message_bytes
+from repro.common.messages import MESSAGE_BYTES, MessageType
+
+#: Latency-histogram buckets per operation class: bucket i counts
+#: accesses with latency in [2^i, 2^(i+1)); latency 0 shares bucket 0
+#: with latency 1, and the last bucket is open-ended.
+LATENCY_BUCKETS = 20
+#: The bucket of a latency, indexed by ``latency.bit_length()`` -- the
+#: one bucket definition the per-access path, ``record_latency`` and
+#: the batched kernel all read.
+BUCKET_BY_BITS = tuple(min(max(bits - 1, 0), LATENCY_BUCKETS - 1)
+                       for bits in range(65))
+
+
+def latency_bucket(latency: int) -> int:
+    """Histogram bucket of a (non-negative) access latency."""
+    return BUCKET_BY_BITS[latency.bit_length()]
 
 
 @dataclass
@@ -78,11 +93,9 @@ class SystemStats:
     messages: Dict[MessageType, int] = field(default_factory=dict)
 
     # Latency distribution: power-of-two buckets per operation class
-    # (bucket i counts accesses with latency in [2^i, 2^(i+1))).
+    # (see ``latency_bucket``).
     read_latency_buckets: List[int] = field(default_factory=list)
     write_latency_buckets: List[int] = field(default_factory=list)
-
-    LATENCY_BUCKETS = 20
 
     def __post_init__(self) -> None:
         if not self.cycles:
@@ -90,17 +103,18 @@ class SystemStats:
         if not self.accesses:
             self.accesses = [0] * self.n_cores
         if not self.read_latency_buckets:
-            self.read_latency_buckets = [0] * self.LATENCY_BUCKETS
+            self.read_latency_buckets = [0] * LATENCY_BUCKETS
         if not self.write_latency_buckets:
-            self.write_latency_buckets = [0] * self.LATENCY_BUCKETS
+            self.write_latency_buckets = [0] * LATENCY_BUCKETS
 
     # ------------------------------------------------------------------
     # Recording helpers
     # ------------------------------------------------------------------
     def record_message(self, kind: MessageType, count: int = 1) -> None:
         """Account ``count`` messages of ``kind`` on the interconnect."""
-        self.messages[kind] = self.messages.get(kind, 0) + count
-        self.traffic_bytes += message_bytes(kind) * count
+        messages = self.messages
+        messages[kind] = messages.get(kind, 0) + count
+        self.traffic_bytes += MESSAGE_BYTES[kind] * count
 
     def advance_core(self, core: int, latency: int) -> None:
         """Advance ``core``'s local clock by ``latency`` cycles."""
@@ -109,8 +123,7 @@ class SystemStats:
 
     def record_latency(self, is_write: bool, latency: int) -> None:
         """Bucket one access latency (powers of two)."""
-        bucket = min(max(latency, 1).bit_length() - 1,
-                     self.LATENCY_BUCKETS - 1)
+        bucket = BUCKET_BY_BITS[latency.bit_length()]
         if is_write:
             self.write_latency_buckets[bucket] += 1
         else:
@@ -135,7 +148,7 @@ class SystemStats:
             running += count
             if running >= target:
                 return 1 << index + 1
-        return 1 << self.LATENCY_BUCKETS
+        return 1 << LATENCY_BUCKETS
 
     # ------------------------------------------------------------------
     # Derived metrics

@@ -74,7 +74,7 @@ class ZeroDEVSystem(CMPSystem):
             entry = self.directory.lookup(block)
             if entry is not None:
                 return entry
-        bank = self.bank_of(block)
+        bank = self.banks[block & self._bank_mask]
         spill = bank.lookup_spill(block)      # the entry is being accessed
         if spill is not None:
             return spill.entry
@@ -161,8 +161,7 @@ class ZeroDEVSystem(CMPSystem):
                         owner: Optional[int], bank: LLCBank
                         ) -> DirectoryEntry:
         self.stats.dir_allocations += 1
-        entry = DirectoryEntry(block, state, owner=owner,
-                               sharers=1 << requester)
+        entry = DirectoryEntry(block, state, owner, 1 << requester)
         self._place_entry(entry)
         return entry
 
@@ -186,7 +185,8 @@ class ZeroDEVSystem(CMPSystem):
                                          self.bank_of(victim.block))
                 self.directory.insert(entry)
                 return
-        self._place_entry_in_llc(entry, self.bank_of(entry.block))
+        self._place_entry_in_llc(entry,
+                                 self.banks[entry.block & self._bank_mask])
 
     def _place_entry_in_llc(self, entry: DirectoryEntry,
                             bank: LLCBank) -> None:
@@ -195,8 +195,7 @@ class ZeroDEVSystem(CMPSystem):
         Under EPD, owned blocks are not LLC-resident, so fusion is never
         possible (Section III-E) -- every overflowing entry spills.
         """
-        if (self._policy is not DirCachingPolicy.SPILL_ALL
-                and self.config.llc_design is not LLCDesign.EPD):
+        if self._policy is not DirCachingPolicy.SPILL_ALL and not self._epd:
             fuse_ok = (entry.state is DirState.ME
                        or self._policy is DirCachingPolicy.FUSE_ALL)
             if fuse_ok and bank.fuse(entry.block, entry):
@@ -224,7 +223,7 @@ class ZeroDEVSystem(CMPSystem):
             return
         if (entry.state is DirState.ME
                 and entry.location is EntryLocation.LLC_SPILLED
-                and self.config.llc_design is not LLCDesign.EPD):
+                and not self._epd):
             # S -> M/E with a spilled entry: fuse it with the block and
             # free the spill frame, keeping the read fast-path invariant.
             line = bank.peek_data(entry.block)
@@ -245,7 +244,7 @@ class ZeroDEVSystem(CMPSystem):
     def _data_allocated(self, bank: LLCBank, block: int) -> None:
         """A DATA frame was just installed: re-fuse a spilled entry when
         the policy wants it fused (FuseAll always; FPSS for M/E)."""
-        if self.config.llc_design is LLCDesign.EPD:
+        if self._epd:
             return
         spill = bank.peek_spill(block)
         if spill is None:
@@ -285,10 +284,10 @@ class ZeroDEVSystem(CMPSystem):
                     and evictor_core is not None):
                 # Retrieve the 4+N low bits from the last sharer's
                 # eviction buffer to reconstruct the block (Sec III-C3).
-                self.mesh.send(MT.EVICT_ACK, self.mesh.core_to_bank(
-                    evictor_core, bank.bank_id))
-                self.mesh.send(MT.EVICT_CLEAN_BITS, self.mesh.core_to_bank(
-                    evictor_core, bank.bank_id))
+                self.mesh.send_core_to_bank(MT.EVICT_ACK, evictor_core,
+                                            bank.bank_id)
+                self.mesh.send_core_to_bank(MT.EVICT_CLEAN_BITS,
+                                            evictor_core, bank.bank_id)
         elif location is not EntryLocation.MEMORY:
             raise ProtocolInvariantError(
                 f"entry for block {block:#x} in unknown location")

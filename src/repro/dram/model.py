@@ -21,29 +21,29 @@ class DramModel:
     """Latency and traffic accounting for one socket's memory channels."""
 
     def __init__(self, config: DramConfig, stats: SystemStats) -> None:
-        self._config = config
         self._stats = stats
-        self._blocks_per_row = config.row_bytes // BLOCK_BYTES
+        # Address interleaving and timing, as plain ints: blocks go
+        # round-robin over channels; one row spans ``row_bytes`` of
+        # every channel, and rows go round-robin over a channel's banks.
+        self._channels = config.channels
+        self._banks_per_channel = config.banks_per_channel
+        self._row_span = config.channels * (config.row_bytes // BLOCK_BYTES)
+        self._row_hit_cycles = config.row_hit_cycles
+        self._row_miss_cycles = config.row_miss_cycles
         n_banks = config.channels * config.banks_per_channel
         self._open_rows: List[int] = [-1] * n_banks
 
     # ------------------------------------------------------------------
-    def _bank_and_row(self, block: int) -> tuple:
-        config = self._config
-        channel = block % config.channels
-        row = block // (config.channels * self._blocks_per_row)
-        bank_in_channel = row % config.banks_per_channel
-        bank = channel * config.banks_per_channel + bank_in_channel
-        return bank, row
-
     def _access(self, block: int) -> int:
-        bank, row = self._bank_and_row(block)
+        row = block // self._row_span
+        per_channel = self._banks_per_channel
+        bank = (block % self._channels) * per_channel + row % per_channel
         if self._open_rows[bank] == row:
             self._stats.dram_row_hits += 1
-            return self._config.row_hit_cycles
+            return self._row_hit_cycles
         self._open_rows[bank] = row
         self._stats.dram_row_misses += 1
-        return self._config.row_miss_cycles
+        return self._row_miss_cycles
 
     # ------------------------------------------------------------------
     def read(self, block: int) -> int:

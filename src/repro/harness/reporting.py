@@ -82,10 +82,10 @@ class Table:
 
 def traffic_breakdown(stats, top: int = 12) -> str:
     """Per-message-type interconnect traffic table for one run."""
-    from repro.common.messages import message_bytes
+    from repro.common.messages import MESSAGE_BYTES
     rows = []
     for kind, count in stats.messages.items():
-        rows.append((message_bytes(kind) * count, count, kind.name))
+        rows.append((MESSAGE_BYTES[kind] * count, count, kind.name))
     rows.sort(reverse=True)
     total = max(stats.traffic_bytes, 1)
     lines = [f"  {'message':<20} {'count':>10} {'bytes':>12} {'share':>7}"]

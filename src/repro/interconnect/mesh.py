@@ -13,17 +13,23 @@ of banks.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import LatencyConfig, MeshConfig
 from repro.common.errors import ConfigError
-from repro.common.messages import MessageType
+from repro.common.messages import MESSAGE_BYTES, MessageType
 from repro.common.stats import SystemStats
 from repro.obs.events import EventKind
 
 
 class Mesh:
-    """Hop-count and traffic accounting for one socket's mesh."""
+    """Hop-count and traffic accounting for one socket's mesh.
+
+    The hop counts every message needs are precomputed at construction:
+    ``core_bank_hops[core][bank]`` and ``core_core_hops[src][dst]``.
+    Links are symmetric, so a bank-to-core response costs the hops of
+    the core-to-bank request and both go through ``send_core_to_bank``.
+    """
 
     #: Observability seam (repro.obs): None = tracing disabled.
     obs = None
@@ -35,7 +41,7 @@ class Mesh:
             raise ConfigError(
                 f"mesh {config.width}x{config.height} has {n_nodes} nodes, "
                 f"cannot place {n_cores} cores + {n_banks} banks")
-        self._latency = latency
+        self._hop_cycles = latency.mesh_hop
         self._stats = stats
         self._coords: Dict[Tuple[str, int], Tuple[int, int]] = {}
         placement = ([("core", i) for i in range(n_cores)]
@@ -43,6 +49,12 @@ class Mesh:
         for index, node in enumerate(placement):
             self._coords[node] = (index % config.width,
                                   index // config.width)
+        self.core_bank_hops: List[List[int]] = [
+            [self.hops(("core", core), ("bank", bank))
+             for bank in range(n_banks)] for core in range(n_cores)]
+        self.core_core_hops: List[List[int]] = [
+            [self.hops(("core", src), ("core", dst))
+             for dst in range(n_cores)] for src in range(n_cores)]
 
     # ------------------------------------------------------------------
     def hops(self, src: Tuple[str, int], dst: Tuple[str, int]) -> int:
@@ -52,10 +64,10 @@ class Mesh:
         return abs(sx - dx) + abs(sy - dy)
 
     def core_to_bank(self, core: int, bank: int) -> int:
-        return self.hops(("core", core), ("bank", bank))
+        return self.core_bank_hops[core][bank]
 
     def core_to_core(self, src: int, dst: int) -> int:
-        return self.hops(("core", src), ("core", dst))
+        return self.core_core_hops[src][dst]
 
     # ------------------------------------------------------------------
     def send(self, kind: MessageType, hops: int) -> int:
@@ -63,16 +75,28 @@ class Mesh:
         self._stats.record_message(kind)
         if self.obs is not None:
             self.obs.emit(EventKind.MSG, cause=kind.name)
-        return hops * self._latency.mesh_hop
+        return hops * self._hop_cycles
 
     def send_core_to_bank(self, kind: MessageType, core: int,
                           bank: int) -> int:
-        return self.send(kind, self.core_to_bank(core, bank))
+        """Send one message between ``core`` and ``bank`` (either way).
+
+        Nearly every message takes this path, so it does the
+        accounting of ``SystemStats.record_message`` inline: one call
+        per message.
+        """
+        stats = self._stats
+        messages = stats.messages
+        messages[kind] = messages.get(kind, 0) + 1
+        stats.traffic_bytes += MESSAGE_BYTES[kind]
+        if self.obs is not None:
+            self.obs.emit(EventKind.MSG, cause=kind.name)
+        return self.core_bank_hops[core][bank] * self._hop_cycles
 
     def send_bank_to_core(self, kind: MessageType, bank: int,
                           core: int) -> int:
-        return self.send(kind, self.core_to_bank(core, bank))
+        return self.send_core_to_bank(kind, core, bank)
 
     def send_core_to_core(self, kind: MessageType, src: int,
                           dst: int) -> int:
-        return self.send(kind, self.core_to_core(src, dst))
+        return self.send(kind, self.core_core_hops[src][dst])

@@ -87,6 +87,7 @@ import numpy as np
 
 from repro.caches.block import L1Line, MESI
 from repro.common.addressing import BLOCK_SHIFT
+from repro.common.stats import latency_bucket
 
 #: Accesses classified per scan. The scan stops at the first unsafe
 #: access anyway; the window only caps the work per scan in long
@@ -131,11 +132,6 @@ PROMOTE_HIT_FRACTION = 0.95
 ADAPT_STREAK = 2
 
 _NO_LIMIT = 1 << 62
-
-
-def _bucket(latency: int, n_buckets: int) -> int:
-    """The power-of-two latency bucket (mirrors record_latency)."""
-    return min(max(latency, 1).bit_length() - 1, n_buckets - 1)
 
 
 class SlotKernel:
@@ -197,10 +193,9 @@ class SlotKernel:
         self._r1_step = r1_lat + compute
         self._r2_step = r2_lat + compute
         self._w_step = w_lat + compute
-        n_buckets = stats.LATENCY_BUCKETS
-        self._r1_bucket = _bucket(r1_lat, n_buckets)
-        self._r2_bucket = _bucket(r2_lat, n_buckets)
-        self._w_bucket = _bucket(w_lat, n_buckets)
+        self._r1_bucket = latency_bucket(r1_lat)
+        self._r2_bucket = latency_bucket(r2_lat)
+        self._w_bucket = latency_bucket(w_lat)
         # One-shot binding tuple for retire_run: a single unpack
         # replaces ~20 attribute loads per call, which matters when
         # tight horizons keep bulk runs short.

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.common.config import (DramConfig, LatencyConfig, MeshConfig)
+from repro.common.config import (DramConfig, LatencyConfig, MeshConfig,
+                                 scaled_socket)
 from repro.common.errors import ConfigError
-from repro.common.messages import MessageType
+from repro.common.messages import MESSAGE_BYTES, MessageType
 from repro.common.stats import SystemStats
 from repro.dram.model import DramModel
+from repro.harness.system_builder import build_system
 from repro.interconnect.mesh import Mesh
 
 
@@ -46,8 +48,63 @@ class TestMesh:
                         == mesh.hops(("bank", bank), ("core", core)))
 
     def test_rejects_overfull_mesh(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=(
+                r"^mesh 4x4 has 16 nodes, cannot place 12 cores \+ 8 "
+                r"banks$")):
             make_mesh(n_cores=12, n_banks=8, width=4, height=4)
+
+    def test_every_send_accounts_its_table_bytes(self):
+        mesh, stats = make_mesh()
+        assert mesh.send(MessageType.WB_DE, 3) == 3 * LatencyConfig().mesh_hop
+        mesh.send_bank_to_core(MessageType.DATA, 1, 2)
+        mesh.send_core_to_core(MessageType.EVICT_CLEAN_BITS, 0, 5)
+        assert stats.traffic_bytes == (MESSAGE_BYTES[MessageType.WB_DE]
+                                       + MESSAGE_BYTES[MessageType.DATA]
+                                       + MESSAGE_BYTES[
+                                           MessageType.EVICT_CLEAN_BITS])
+
+
+def row_major_distance(a: int, b: int, width: int) -> int:
+    """Manhattan distance between placement slots ``a`` and ``b``."""
+    return abs(a % width - b % width) + abs(a // width - b // width)
+
+
+class TestHopTables:
+    """Every entry of the precomputed tables equals the Manhattan
+    distance of the row-major placement (cores first, then banks)."""
+
+    def check(self, mesh, n_cores, n_banks, width):
+        assert len(mesh.core_bank_hops) == len(mesh.core_core_hops) \
+            == n_cores
+        for core in range(n_cores):
+            assert mesh.core_bank_hops[core] == [
+                row_major_distance(core, n_cores + bank, width)
+                for bank in range(n_banks)]
+            assert mesh.core_core_hops[core] == [
+                row_major_distance(core, other, width)
+                for other in range(n_cores)]
+            for bank in range(n_banks):
+                assert mesh.core_to_bank(core, bank) == mesh.hops(
+                    ("core", core), ("bank", bank))
+
+    def test_default_socket(self):
+        system = build_system(scaled_socket(16))
+        assert (system.config.mesh.width, system.config.mesh.height) \
+            == (4, 4)
+        self.check(system.mesh, 8, 8, 4)
+
+    def test_64_core_scaled_socket(self):
+        config = scaled_socket(16, n_cores=64)
+        system = build_system(config)
+        mesh_config = system.config.mesh
+        assert mesh_config.width * mesh_config.height >= 64 + 8
+        self.check(system.mesh, 64, config.llc_banks, mesh_config.width)
+
+    @pytest.mark.parametrize("width,height", [(3, 6), (8, 2)])
+    def test_non_square_mesh(self, width, height):
+        mesh, _ = make_mesh(n_cores=8, n_banks=8, width=width,
+                            height=height)
+        self.check(mesh, 8, 8, width)
 
 
 class TestDram:

@@ -1,11 +1,18 @@
 """Unit tests for the message catalogue and statistics counters."""
 
+import random
+
 import pytest
 
-from repro.common.messages import (CTRL_BYTES, DATA_BYTES, MessageType,
-                                   message_bytes)
-from repro.common.stats import (SystemStats, makespan_speedup,
+from repro.common.addressing import BLOCK_SHIFT
+from repro.common.messages import (CTRL_BYTES, DATA_BYTES, MESSAGE_BYTES,
+                                   MessageType, message_bytes)
+from repro.common.stats import (LATENCY_BUCKETS, SystemStats,
+                                latency_bucket, makespan_speedup,
                                 weighted_speedup)
+from repro.harness.reporting import traffic_breakdown
+from repro.verify.models import TRACE_CORES, model_matrix
+from repro.workloads.trace import Op
 
 
 class TestMessageBytes:
@@ -33,6 +40,75 @@ class TestMessageBytes:
     def test_every_type_has_a_size(self):
         for kind in MessageType:
             assert message_bytes(kind) >= CTRL_BYTES
+
+    def test_table_covers_every_type(self):
+        assert set(MESSAGE_BYTES) == set(MessageType)
+        assert set(MESSAGE_BYTES.values()) == {CTRL_BYTES, CTRL_BYTES + 1,
+                                               DATA_BYTES}
+
+    def test_members_keep_their_str_form(self):
+        assert str(MessageType.GETS) == "MessageType.GETS"
+        assert {MessageType.GETS: 1}[MessageType["GETS"]] == 1
+
+
+def _short_trace(n: int = 400, blocks: int = 24, seed: int = 7):
+    """A fixed mixed-op trace over a few shared blocks."""
+    rng = random.Random(seed)
+    ops = (Op.READ, Op.READ, Op.WRITE, Op.IFETCH)
+    return [(rng.randrange(TRACE_CORES), rng.choice(ops),
+             rng.randrange(blocks) << BLOCK_SHIFT) for _ in range(n)]
+
+
+@pytest.mark.parametrize("spec", model_matrix(), ids=lambda s: s.name)
+def test_traffic_is_the_table_sum_of_messages(spec):
+    """After a short run of every model, the traffic counter is the
+    per-type message counts weighted by the one size table."""
+    system = spec.build()
+    for core, op, address in _short_trace():
+        socket, local = spec.map_core(core)
+        if spec.n_sockets == 1:
+            system.access(local, op, address)
+        else:
+            system.access(socket, local, op, address)
+    stats_list = system.stats if spec.n_sockets > 1 else [system.stats]
+    for stats in stats_list:
+        assert stats.messages
+        assert stats.traffic_bytes == sum(
+            message_bytes(kind) * count
+            for kind, count in stats.messages.items())
+        # The report's byte column reads the same table.
+        report = traffic_breakdown(stats, top=len(MessageType))
+        assert sum(int(line.split()[2].replace(",", ""))
+                   for line in report.splitlines()[1:]) \
+            == stats.traffic_bytes
+
+
+class TestLatencyBuckets:
+    @pytest.mark.parametrize("latency,bucket", [
+        (0, 0), (1, 0), (2, 1), (3, 1), (2 ** 19 - 1, 18), (2 ** 19, 19),
+        (2 ** 25, LATENCY_BUCKETS - 1)])
+    def test_boundaries(self, latency, bucket):
+        assert latency_bucket(latency) == bucket
+        stats = SystemStats(1)
+        stats.record_latency(False, latency)
+        stats.record_latency(True, latency)
+        assert stats.read_latency_buckets[bucket] == 1
+        assert stats.write_latency_buckets[bucket] == 1
+        assert sum(stats.read_latency_buckets) == 1
+
+    def test_access_path_uses_the_same_buckets(self):
+        from repro.harness.system_builder import build_system
+        from repro.verify.models import micro_config
+        system = build_system(micro_config())
+        latencies = [system.access(0, op, 3 << BLOCK_SHIFT)
+                     for op in (Op.READ, Op.READ, Op.WRITE, Op.WRITE)]
+        expected_reads = [0] * LATENCY_BUCKETS
+        expected_writes = [0] * LATENCY_BUCKETS
+        for op_index, latency in enumerate(latencies):
+            target = expected_reads if op_index < 2 else expected_writes
+            target[latency_bucket(latency)] += 1
+        assert system.stats.read_latency_buckets == expected_reads
+        assert system.stats.write_latency_buckets == expected_writes
 
 
 class TestSystemStats:

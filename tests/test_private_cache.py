@@ -3,7 +3,7 @@
 import pytest
 
 from repro.caches.block import MESI
-from repro.caches.private_cache import PrivateHierarchy
+from repro.caches.private_cache import L1_HIT, L2_HIT, PrivateHierarchy
 from repro.common.config import CacheGeometry
 from repro.common.errors import ProtocolInvariantError
 
@@ -21,7 +21,7 @@ class TestFillAndLookup:
     def test_fill_then_l1_hit(self):
         hier = make_hierarchy()
         hier.fill(5, MESI.E, version=0, code=False)
-        assert hier.read_hit_level(5, code=False) == "l1"
+        assert hier.read_hit_level(5, code=False) == L1_HIT
 
     def test_l2_hit_refills_l1(self):
         hier = make_hierarchy()
@@ -29,13 +29,13 @@ class TestFillAndLookup:
         # Evict 0 from L1D (2-way sets by low bits: 0, 2, 4 share set 0).
         hier.fill(2, MESI.E, 0, code=False)
         hier.fill(4, MESI.E, 0, code=False)
-        assert hier.read_hit_level(0, code=False) == "l2"
-        assert hier.read_hit_level(0, code=False) == "l1"
+        assert hier.read_hit_level(0, code=False) == L2_HIT
+        assert hier.read_hit_level(0, code=False) == L1_HIT
 
     def test_code_and_data_l1s_are_split(self):
         hier = make_hierarchy()
         hier.fill(5, MESI.S, 0, code=True)
-        assert hier.read_hit_level(5, code=False) == "l2"
+        assert hier.read_hit_level(5, code=False) == L2_HIT
 
     def test_miss_returns_none(self):
         assert make_hierarchy().read_hit_level(9, code=False) is None
